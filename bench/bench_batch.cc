@@ -1,7 +1,7 @@
 // Batch-compiled population evaluation benchmark: (1) compiler-invocation
 // amortization of the generation JIT (one TU per generation vs one TU per
 // model, structure-hash compile cache), and (2) SoA rollout throughput at
-// lane widths 1/4/8/16 through BatchSimulateBPhy.
+// lane widths 1/4/8/16 through BatchSimulate.
 //
 // Emits BENCH_batch.json (schema_version 2); batched rows carry the
 // `batch_width` and `compile_cache_hit_rate` stats fields.
@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
   }
 
   // ---------------------------------------------------- lane-width sweep
-  // Rollout throughput (lane-days/sec) of BatchSimulateBPhy at widths
+  // Rollout throughput (lane-days/sec) of BatchSimulate at widths
   // 1/4/8/16 on the synthetic dataset. The batch VM needs no compiler, so
   // this half always runs; width 1 is the scalar baseline (SoA == AoS at
   // stride 1). On the 1-CPU container the gain is pure locality/dispatch
@@ -173,6 +173,9 @@ int main(int argc, char** argv) {
   const river::RiverDataset dataset = bench::MakeDataset(scale);
   const std::size_t days = dataset.train_end;
   const auto equations = MakeGeneration(1, 1)[0];
+  const river::ConstituentSet legacy = river::ConstituentSet::LegacyPlankton(
+      dataset.initial_bphy, dataset.initial_bzoo, dataset.test_initial_bphy,
+      dataset.test_initial_bzoo);
 
   SimulationConfig sim_config;
   sim_config.compiled_backend = CompiledBackend::kBatchVm;
@@ -196,9 +199,9 @@ int main(int argc, char** argv) {
     for (int trial = 0; trial < trials; ++trial) {
       Timer timer;
       for (std::size_t r = 0; r < repeats; ++r) {
-        const auto result = river::BatchSimulateBPhy(
-            equations, lanes, dataset, 0, days, dataset.initial_bphy,
-            dataset.initial_bzoo, sim_config);
+        const auto result = river::BatchSimulate(
+            equations, lanes, dataset, 0, days, legacy,
+            {dataset.initial_bphy, dataset.initial_bzoo}, sim_config);
         if (result.width != width) return 1;
       }
       const double seconds = timer.ElapsedSeconds();
@@ -219,6 +222,5 @@ int main(int argc, char** argv) {
   }
 
   bench::WriteBenchJson("BENCH_batch.json", "batch", options.threads, rows);
-  std::printf("\nwrote BENCH_batch.json\n");
   return 0;
 }

@@ -157,8 +157,9 @@ void BM_SimulateYear(benchmark::State& state) {
   const auto params = gp::PriorMeans(river::RiverParameterPriors());
   const bool compiled = state.range(0) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(river::SimulateBPhy(
-        equations, params, dataset, 0, 365, 5.0, 1.0,
+    benchmark::DoNotOptimize(river::Simulate(
+        equations, params, dataset, 0, 365,
+        river::ConstituentSet::LegacyPlankton(), {5.0, 1.0},
         river::SimulationConfig{}, compiled));
   }
 }
@@ -193,8 +194,9 @@ void BM_SimulateDivergent(benchmark::State& state) {
   const auto params = gp::PriorMeans(river::RiverParameterPriors());
   const river::SimulationConfig config = WatchdogConfig(state.range(0) != 0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(river::SimulateBPhy(
-        equations, params, dataset, 0, 365, 5.0, 1.0, config, true));
+    benchmark::DoNotOptimize(river::Simulate(
+        equations, params, dataset, 0, 365,
+        river::ConstituentSet::LegacyPlankton(), {5.0, 1.0}, config, true));
   }
 }
 BENCHMARK(BM_SimulateDivergent)->Arg(0)->Arg(1);
@@ -247,8 +249,9 @@ void WriteFaultBench() {
     constexpr int kRepeats = 50;
     Timer timer;
     for (int r = 0; r < kRepeats; ++r) {
-      river::SimulateBPhy(equations, params, dataset, 0, 365, 5.0, 1.0,
-                          config, true, &report);
+      river::Simulate(equations, params, dataset, 0, 365,
+                      river::ConstituentSet::LegacyPlankton(), {5.0, 1.0},
+                      config, true, &report);
     }
     const double seconds = timer.ElapsedSeconds() / kRepeats;
     bench::BenchRow row(watchdogs_on ? "watchdogs_on" : "watchdogs_off",

@@ -15,7 +15,8 @@
 ///   GMR_FAULT=derivative_nan:first:4,pool_task:prob:0.25:42
 ///
 /// Points: `jit_compile` (JitProgram::Compile reports failure),
-/// `derivative_nan` (ProcessRunner::Derivatives returns NaN),
+/// `derivative_nan` (one derivative evaluation of a forward rollout —
+/// a whole lane block — returns NaN; counted once per evaluation),
 /// `pool_task` (a ThreadPool task throws std::runtime_error),
 /// `batch_compile` (BatchJitSession::CompileBatch reports a failed
 /// generation TU; every affected equation degrades to the batched VM),

@@ -23,10 +23,15 @@ bool ReferencesSlot(const std::vector<expr::ExprPtr>& equations, int slot) {
 std::vector<double> SimulateTraining(
     const CandidateModel& model, const river::RiverDataset& dataset,
     const river::SimulationConfig& simulation) {
-  return river::SimulateBPhy(model.equations, model.parameters, dataset, 0,
-                             dataset.train_end, dataset.initial_bphy,
-                             dataset.initial_bzoo, simulation,
-                             /*compiled=*/true);
+  return river::Simulate(model.equations, model.parameters, dataset, 0,
+                         dataset.train_end,
+                         river::ConstituentSet::LegacyPlankton(
+                             dataset.initial_bphy, dataset.initial_bzoo,
+                             dataset.test_initial_bphy,
+                             dataset.test_initial_bzoo),
+                         {dataset.initial_bphy, dataset.initial_bzoo},
+                         simulation, /*compiled=*/true)
+      .series[0];
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "grad/adjoint.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -16,38 +17,23 @@ namespace {
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
-/// True when simulate.cc's ClampState passes `raw` through unchanged — the
-/// only case with a nonzero (unit) clamp derivative. Pinned or non-finite
-/// raw states are locally constant, so their cotangent is dropped exactly.
-bool ClampPassesThrough(double raw, const river::SimulationConfig& config) {
-  return std::isfinite(raw) && raw >= config.state_min &&
-         raw <= config.state_max;
-}
-
-double ClampStateValue(double raw, const river::SimulationConfig& config) {
-  if (!std::isfinite(raw)) {
-    return std::signbit(raw) ? config.state_min : config.state_max;
+/// The fitness evaluator's RMSE of a rollout: squared errors summed day by
+/// day over the observation bindings in RiverEvaluation's order, so the
+/// value is bit-identical to the evaluator's running RMSE.
+double TrajectoryRmse(const river::SimulationTrajectory& trajectory,
+                      const river::RiverDataset& dataset, std::size_t t_begin,
+                      const std::vector<river::ObservationBinding>& bindings) {
+  const std::size_t steps = trajectory.series[0].size();
+  if (steps == 0) return 0.0;
+  double sse = 0.0;
+  for (std::size_t d = 0; d < steps; ++d) {
+    for (const auto& [species, series] : bindings) {
+      const double error = trajectory.series[species][d] -
+                           dataset.ObservedSeries(series)[t_begin + d];
+      sse += error * error;
+    }
   }
-  if (raw < config.state_min) return config.state_min;
-  if (raw > config.state_max) return config.state_max;
-  return raw;
-}
-
-/// Observation bindings in RiverEvaluation's order, mirrored through the
-/// public registry API: every constituent with a mapped series, else the
-/// primary state against series 0.
-std::vector<std::pair<std::size_t, int>> Bindings(
-    const river::ConstituentSet& constituents) {
-  std::vector<std::pair<std::size_t, int>> bindings;
-  for (std::size_t i = 0; i < constituents.size(); ++i) {
-    const int series = constituents.at(i).observed_series;
-    if (series >= 0) bindings.emplace_back(i, series);
-  }
-  if (bindings.empty()) {
-    bindings.emplace_back(
-        static_cast<std::size_t>(constituents.PrimaryObserved()), 0);
-  }
-  return bindings;
+  return std::sqrt(sse / static_cast<double>(steps * bindings.size()));
 }
 
 /// Sound pruning env for the rollout: parameters pinned to θ (the tape is
@@ -91,19 +77,45 @@ analysis::DomainEnv RolloutEnv(const std::vector<double>& parameters,
   return env;
 }
 
-/// Per-stage forward record of one substep: the variable vector the
-/// equations saw, every tape's value buffer (concatenated at per-equation
-/// offsets), and the resulting slopes.
-struct StageRecord {
-  std::vector<double> vars;
-  std::vector<double> values;
-  std::vector<double> k;
-};
+/// Derivative source of the reverse sweep's replay: evaluates each
+/// equation's tape at width 1 (values bit-identical to the interpreter)
+/// and keeps every tape value buffer of the day. A replayed day never
+/// aborts, so call c of the day is substep c / stages, stage c % stages.
+class TapeRecorder final : public river::DerivativeSource {
+ public:
+  TapeRecorder(const std::vector<Tape>* tapes, std::size_t calls_per_day)
+      : tapes_(tapes) {
+    for (const Tape& tape : *tapes_) {
+      offsets_.push_back(total_nodes_);
+      total_nodes_ += tape.size();
+    }
+    values_.assign(calls_per_day * total_nodes_, 0.0);
+  }
 
-struct SubstepRecord {
-  std::vector<double> begin_state;
-  std::vector<double> raw;
-  std::vector<StageRecord> stages;
+  void Rewind() { call_ = 0; }
+
+  /// Tape values of equation `e` at call `call` of the day.
+  const double* values(std::size_t call, std::size_t e) const {
+    return values_.data() + call * total_nodes_ + offsets_[e];
+  }
+
+  void Derivatives(const double* variables, std::size_t num_variables,
+                   const double* parameters, std::size_t num_parameters,
+                   std::size_t /*width*/, double* derivatives) override {
+    const expr::EvalContext ctx{variables, num_variables, parameters,
+                                num_parameters};
+    double* values = values_.data() + call_++ * total_nodes_;
+    for (std::size_t e = 0; e < tapes_->size(); ++e) {
+      derivatives[e] = (*tapes_)[e].Forward(ctx, values + offsets_[e]);
+    }
+  }
+
+ private:
+  const std::vector<Tape>* tapes_;
+  std::vector<std::size_t> offsets_;
+  std::size_t total_nodes_ = 0;
+  std::vector<double> values_;
+  std::size_t call_ = 0;
 };
 
 }  // namespace
@@ -118,8 +130,6 @@ GradientResult RmseGradient(const std::vector<expr::ExprPtr>& equations,
                             bool prune) {
   GradientResult result;
   const std::size_t num_species = constituents.size();
-  const std::size_t num_variables =
-      num_species + static_cast<std::size_t>(river::kNumDriverVariables);
   const std::size_t steps = t_end - t_begin;
   result.gradient.assign(parameters.size(), 0.0);
 
@@ -130,20 +140,9 @@ GradientResult RmseGradient(const std::vector<expr::ExprPtr>& equations,
       river::Simulate(equations, parameters, dataset, t_begin, t_end,
                       constituents, initial_state, config,
                       /*compiled=*/false, &result.report);
-  const std::vector<std::pair<std::size_t, int>> bindings =
-      Bindings(constituents);
-  double sse = 0.0;
-  for (std::size_t d = 0; d < steps; ++d) {
-    for (const auto& [species, series] : bindings) {
-      const double error = trajectory.series[species][d] -
-                           dataset.ObservedSeries(series)[t_begin + d];
-      sse += error * error;
-    }
-  }
-  result.rmse =
-      steps == 0
-          ? 0.0
-          : std::sqrt(sse / static_cast<double>(steps * bindings.size()));
+  const std::vector<river::ObservationBinding> bindings =
+      river::BindObservations(constituents);
+  result.rmse = TrajectoryRmse(trajectory, dataset, t_begin, bindings);
   if (steps == 0) {
     result.gradient_valid = true;
     return result;
@@ -158,15 +157,11 @@ GradientResult RmseGradient(const std::vector<expr::ExprPtr>& equations,
   std::vector<Tape> tapes;
   tapes.reserve(equations.size());
   std::size_t max_tape = 0;
-  std::vector<std::size_t> offsets;
-  std::size_t total_nodes = 0;
   try {
     for (const expr::ExprPtr& eq : equations) {
       tapes.emplace_back(*eq, static_cast<int>(parameters.size()),
                          static_cast<int>(num_species),
                          prune ? &env : nullptr);
-      offsets.push_back(total_nodes);
-      total_nodes += tapes.back().size();
       max_tape = std::max(max_tape, tapes.back().size());
       result.tape_nodes += tapes.back().size();
       result.pruned_nodes += tapes.back().pruned_nodes();
@@ -188,23 +183,22 @@ GradientResult RmseGradient(const std::vector<expr::ExprPtr>& equations,
     return result;
   }
 
-  const int substeps = config.substeps;
-  const double dt = 1.0 / static_cast<double>(substeps);
+  const auto substeps = static_cast<std::size_t>(config.substeps);
+  const double dt = 1.0 / static_cast<double>(config.substeps);
   const bool rk4 = config.method == river::IntegrationMethod::kRk4;
   const std::size_t num_stages = rk4 ? 4 : 1;
-  const double stage_offsets[4] = {0.0, 0.5, 0.5, 1.0};
 
-  std::vector<SubstepRecord> records(static_cast<std::size_t>(substeps));
-  for (SubstepRecord& record : records) {
-    record.begin_state.assign(num_species, 0.0);
-    record.raw.assign(num_species, 0.0);
-    record.stages.resize(num_stages);
-    for (StageRecord& stage : record.stages) {
-      stage.vars.assign(num_variables, 0.0);
-      stage.values.assign(total_nodes, 0.0);
-      stage.k.assign(num_species, 0.0);
-    }
-  }
+  // The reverse sweep replays each day through the rollout kernel itself,
+  // with the watchdogs off: every replayed day completed in the forward
+  // sweep, and the replay's counters, which accumulate over all replayed
+  // days, must not abort it.
+  river::SimulationConfig replay_config = config;
+  replay_config.max_nonfinite_derivatives = 0;
+  replay_config.max_saturated_substeps = 0;
+  replay_config.substep_budget = 0;
+  TapeRecorder recorder(&tapes, substeps * num_stages);
+  river::LaneIntegrator replay(&recorder, &dataset, parameters, 1,
+                               initial_state, replay_config);
 
   std::vector<double> lambda(num_species, 0.0);   // dSSE/d(end-of-day state)
   std::vector<double> param_adjoint(parameters.size(), 0.0);
@@ -213,7 +207,11 @@ GradientResult RmseGradient(const std::vector<expr::ExprPtr>& equations,
   std::vector<double> stage_adjoint(num_species, 0.0);
   std::vector<double> gk(4 * num_species, 0.0);
   std::vector<double> cotangents(max_tape, 0.0);
-  std::vector<double> state(num_species, 0.0);
+  std::vector<double> checkpoint(num_species, 0.0);
+  // Per substep and species: did the commit clamp pass the raw state
+  // through (unit derivative)? Pinned or non-finite raw states are locally
+  // constant, so their cotangent is dropped exactly.
+  std::vector<char> clamp_passes(substeps * num_species, 0);
 
   for (std::size_t d = good_days; d-- > 0;) {
     // Seed with this day's residuals: d(SSE)/d(prediction) = 2 * error.
@@ -222,64 +220,34 @@ GradientResult RmseGradient(const std::vector<expr::ExprPtr>& equations,
                            dataset.ObservedSeries(series)[t_begin + d];
       lambda[species] += 2.0 * error;
     }
-    // Recompute the day's substeps from the begin-of-day checkpoint,
-    // recording every stage context and tape value buffer. This replays
-    // the integrator's exact arithmetic (same kernels, same operation
-    // order), so the committed states match the forward sweep bitwise.
-    for (std::size_t s = 0; s < num_species; ++s) {
-      state[s] = d == 0 ? ClampStateValue(initial_state[s], config)
-                        : trajectory.series[s][d - 1];
-    }
-    for (int step = 0; step < substeps; ++step) {
-      SubstepRecord& record = records[static_cast<std::size_t>(step)];
-      record.begin_state = state;
-      for (std::size_t stage = 0; stage < num_stages; ++stage) {
-        StageRecord& sr = record.stages[stage];
-        const double o = rk4 ? stage_offsets[stage] : 0.0;
-        const std::vector<double>& k_prev =
-            stage == 0 ? sr.k : record.stages[stage - 1].k;
-        for (std::size_t s = 0; s < num_species; ++s) {
-          sr.vars[s] = o == 0.0 ? state[s] : state[s] + o * dt * k_prev[s];
-        }
-        for (int k = 0; k < river::kNumDriverVariables; ++k) {
-          sr.vars[num_species + static_cast<std::size_t>(k)] =
-              dataset.drivers[static_cast<std::size_t>(river::kVlgt + k)]
-                             [t_begin + d];
-        }
-        expr::EvalContext ctx;
-        ctx.variables = sr.vars.data();
-        ctx.num_variables = num_variables;
-        ctx.parameters = parameters.data();
-        ctx.num_parameters = parameters.size();
-        for (std::size_t e = 0; e < tapes.size(); ++e) {
-          sr.k[e] = tapes[e].Forward(ctx, sr.values.data() + offsets[e]);
-        }
-      }
-      if (rk4) {
-        for (std::size_t s = 0; s < num_species; ++s) {
-          record.raw[s] =
-              state[s] + dt / 6.0 *
-                             (record.stages[0].k[s] +
-                              2.0 * record.stages[1].k[s] +
-                              2.0 * record.stages[2].k[s] +
-                              record.stages[3].k[s]);
-        }
-      } else {
-        for (std::size_t s = 0; s < num_species; ++s) {
-          record.raw[s] = state[s] + dt * record.stages[0].k[s];
-        }
-      }
+    // Recompute the day's substeps from the begin-of-day checkpoint through
+    // the same substep code as the forward sweep (same kernels, same
+    // operation order), so the committed states match it bitwise.
+    if (d == 0) {
+      replay.SetState(initial_state);
+    } else {
       for (std::size_t s = 0; s < num_species; ++s) {
-        state[s] = ClampStateValue(record.raw[s], config);
+        checkpoint[s] = trajectory.series[s][d - 1];
+      }
+      replay.SetState(checkpoint);
+    }
+    recorder.Rewind();
+    replay.BeginDay(t_begin + d);
+    for (std::size_t step = 0; step < substeps; ++step) {
+      replay.Substep();
+      for (std::size_t s = 0; s < num_species; ++s) {
+        // The clamp is the identity exactly where it left the raw state
+        // unchanged.
+        clamp_passes[step * num_species + s] =
+            replay.raw()[s] == replay.StateOrPenalty(s, 0);
       }
     }
     // Reverse the substeps: through the commit clamp, the RK4 stage
     // chain, and each equation's tape.
-    for (int step = substeps; step-- > 0;) {
-      const SubstepRecord& record = records[static_cast<std::size_t>(step)];
+    for (std::size_t step = substeps; step-- > 0;) {
       for (std::size_t s = 0; s < num_species; ++s) {
         lambda_raw[s] =
-            ClampPassesThrough(record.raw[s], config) ? lambda[s] : 0.0;
+            clamp_passes[step * num_species + s] != 0 ? lambda[s] : 0.0;
         lambda_next[s] = lambda_raw[s];  // raw = state + ... (identity term)
       }
       if (rk4) {
@@ -295,13 +263,12 @@ GradientResult RmseGradient(const std::vector<expr::ExprPtr>& equations,
         }
       }
       for (std::size_t stage = num_stages; stage-- > 0;) {
-        const StageRecord& sr = record.stages[stage];
         std::fill(stage_adjoint.begin(), stage_adjoint.end(), 0.0);
         for (std::size_t e = 0; e < tapes.size(); ++e) {
           const double seed = gk[stage * num_species + e];
           if (seed == 0.0) continue;
-          tapes[e].Reverse(sr.values.data() + offsets[e], seed,
-                           param_adjoint.data(), stage_adjoint.data(),
+          tapes[e].Reverse(recorder.values(step * num_stages + stage, e),
+                           seed, param_adjoint.data(), stage_adjoint.data(),
                            cotangents.data());
         }
         // Stage input x = state + o * dt * k_prev: the identity part feeds
@@ -311,7 +278,7 @@ GradientResult RmseGradient(const std::vector<expr::ExprPtr>& equations,
           lambda_next[s] += stage_adjoint[s];
         }
         if (stage > 0) {
-          const double o = stage_offsets[stage];
+          const double o = river::kRk4StageOffsets[stage];
           for (std::size_t s = 0; s < num_species; ++s) {
             gk[(stage - 1) * num_species + s] += o * dt * stage_adjoint[s];
           }
@@ -419,22 +386,8 @@ calibrate::Objective MakeRmseObjective(
         problem->equations, x, *problem->dataset, problem->t_begin,
         problem->t_end, problem->constituents, problem->initial_state,
         problem->config, /*compiled=*/false);
-    const std::vector<std::pair<std::size_t, int>> bindings =
-        Bindings(problem->constituents);
-    const std::size_t steps = problem->t_end - problem->t_begin;
-    double sse = 0.0;
-    for (std::size_t d = 0; d < steps; ++d) {
-      for (const auto& [species, series] : bindings) {
-        const double error =
-            trajectory.series[species][d] -
-            problem->dataset->ObservedSeries(series)[problem->t_begin + d];
-        sse += error * error;
-      }
-    }
-    return steps == 0
-               ? 0.0
-               : std::sqrt(sse /
-                           static_cast<double>(steps * bindings.size()));
+    return TrajectoryRmse(trajectory, *problem->dataset, problem->t_begin,
+                          river::BindObservations(problem->constituents));
   };
 }
 

@@ -42,14 +42,16 @@ struct GradientResult {
 /// the parameter vector, for an arbitrary ConstituentSet registry.
 ///
 /// Forward sweep: the ordinary rollout, checkpointing each begin-of-day
-/// state. Reverse sweep: days in reverse order, recomputing the day's
-/// substeps (and RK4 stage evaluations) from the checkpoint, then
-/// propagating the state cotangent λ backwards — through the commit clamp
-/// (cotangent dropped exactly where the clamp pinned the state), each RK4
-/// stage in reverse, and each equation's tape. Watchdog-aware: days at or
-/// after `days_before_abort` predict the constant penalty state, so they
-/// contribute exactly zero gradient and the reverse sweep skips them — an
-/// aborted candidate yields the deterministic penalty gradient, never NaN.
+/// state. Reverse sweep: days in reverse order, replaying the day's
+/// substeps from the checkpoint through the rollout kernel itself
+/// (river::LaneIntegrator at width 1, with a tape-recording derivative
+/// source), then propagating the state cotangent λ backwards — through
+/// the commit clamp (cotangent dropped exactly where the clamp pinned the
+/// state), each RK4 stage in reverse, and each equation's tape.
+/// Watchdog-aware: days at or after `days_before_abort` predict the
+/// constant penalty state, so they contribute exactly zero gradient and
+/// the reverse sweep skips them — an aborted candidate yields the
+/// deterministic penalty gradient, never NaN.
 ///
 /// When `prune` is set, each equation's tape is activity-pruned over a
 /// sound rollout env: parameters pinned to θ, drivers spanning the

@@ -1,5 +1,6 @@
 #include "river/simulate.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -7,136 +8,12 @@
 
 #include "common/check.h"
 #include "common/fault_injection.h"
+#include "expr/batch_vm.h"
+#include "expr/compile.h"
 #include "expr/eval.h"
-#include "river/parameters.h"
 #include "river/variables.h"
 
 namespace gmr::river {
-
-ProcessRunner::ProcessRunner(const std::vector<expr::ExprPtr>& equations,
-                             const std::vector<double>* parameters,
-                             bool compiled)
-    : ProcessRunner(equations, parameters, compiled, SimulationConfig{}) {}
-
-ProcessRunner::ProcessRunner(const std::vector<expr::ExprPtr>& equations,
-                             const std::vector<double>* parameters,
-                             bool compiled, const SimulationConfig& config)
-    : equations_(equations), parameters_(parameters), compiled_(compiled) {
-  GMR_CHECK(!equations_.empty());
-  GMR_CHECK(parameters_ != nullptr);
-  if (!compiled_) return;
-  // The bytecode programs are always built: they are the fallback for any
-  // equation whose JIT compile fails.
-  programs_.reserve(equations_.size());
-  for (const auto& eq : equations_) programs_.push_back(expr::Compile(*eq));
-  switch (config.compiled_backend) {
-    case CompiledBackend::kBytecodeVm:
-      return;
-    case CompiledBackend::kBatchVm:
-    case CompiledBackend::kBatchJit: {
-      // Scalar rollouts run the batched backends at width 1 (SoA == AoS at
-      // stride 1), so scalar and batched evaluation share one code path.
-      batch_programs_.reserve(equations_.size());
-      for (const auto& eq : equations_) {
-        batch_programs_.push_back(expr::CompileBatch(*eq));
-      }
-      if (config.compiled_backend != CompiledBackend::kBatchJit) return;
-      expr::BatchJitSession* session =
-          config.batch_jit_session != nullptr
-              ? config.batch_jit_session
-              : expr::BatchJitSession::Default();
-      std::vector<const expr::Expr*> roots;
-      roots.reserve(equations_.size());
-      for (const auto& eq : equations_) roots.push_back(eq.get());
-      // Pure cache hits when the evaluator's PrepareBatch already compiled
-      // this generation; a miss compiles a (small) TU for this individual.
-      batch_fns_ = session->CompileBatch(roots);
-      for (const auto fn : batch_fns_) {
-        if (fn == nullptr) jit_fallback_ = true;
-      }
-      return;
-    }
-    case CompiledBackend::kNativeJit:
-      break;
-  }
-  expr::JitCircuitBreaker* breaker = config.jit_breaker != nullptr
-                                         ? config.jit_breaker
-                                         : expr::JitCircuitBreaker::Default();
-  jit_programs_.resize(equations_.size());
-  for (std::size_t i = 0; i < equations_.size(); ++i) {
-    if (!breaker->allowed()) {
-      jit_fallback_ = true;
-      continue;
-    }
-    std::string error;
-    jit_programs_[i] = expr::JitProgram::Compile(*equations_[i], &error);
-    if (jit_programs_[i] != nullptr) {
-      breaker->RecordSuccess();
-    } else {
-      breaker->RecordFailure(error);
-      jit_fallback_ = true;
-    }
-  }
-}
-
-ProcessRunner::~ProcessRunner() = default;
-
-void ProcessRunner::Derivatives(const double* variables,
-                                std::size_t num_variables,
-                                double* derivatives) const {
-  const std::size_t n = equations_.size();
-  if (FaultInjected(FaultPoint::kDerivativeNan)) {
-    for (std::size_t e = 0; e < n; ++e) {
-      derivatives[e] = std::numeric_limits<double>::quiet_NaN();
-    }
-    return;
-  }
-  if (compiled_ && !batch_programs_.empty()) {
-    // Batched backends at stride 1: lane 0 of the SoA layout is exactly the
-    // scalar layout, so this is bit-identical to the bytecode VM (batch VM)
-    // or within the JIT ULP budget (batch JIT symbols).
-    expr::BatchEvalContext bctx;
-    bctx.variables = variables;
-    bctx.num_variables = num_variables;
-    bctx.parameters = parameters_->data();
-    bctx.num_parameters = parameters_->size();
-    bctx.width = 1;
-    for (std::size_t e = 0; e < n; ++e) {
-      if (!batch_fns_.empty() && batch_fns_[e] != nullptr) {
-        batch_fns_[e](variables, parameters_->data(), &derivatives[e], 1);
-      } else {
-        batch_programs_[e].RunLanes(bctx, &derivatives[e]);
-      }
-    }
-    return;
-  }
-  expr::EvalContext ctx;
-  ctx.variables = variables;
-  ctx.num_variables = num_variables;
-  ctx.parameters = parameters_->data();
-  ctx.num_parameters = parameters_->size();
-  if (compiled_) {
-    for (std::size_t e = 0; e < n; ++e) {
-      derivatives[e] = !jit_programs_.empty() && jit_programs_[e] != nullptr
-                           ? jit_programs_[e]->Run(ctx)
-                           : programs_[e].Run(ctx);
-    }
-  } else {
-    for (std::size_t e = 0; e < n; ++e) {
-      derivatives[e] = expr::EvalExpr(*equations_[e], ctx);
-    }
-  }
-}
-
-void ProcessRunner::Derivatives(const double* variables,
-                                std::size_t num_variables, double* d_bphy,
-                                double* d_bzoo) const {
-  GMR_CHECK_EQ(equations_.size(), 2u);
-  double out[2];
-  Derivatives(variables, num_variables, out);
-  *d_bphy = out[0];
-  *d_bzoo = out[1];
-}
 
 ConfigError ValidateSimulation(const SimulationConfig& config,
                                const ConstituentSet& constituents,
@@ -213,529 +90,341 @@ double ClampState(double value, const SimulationConfig& config,
   return value;
 }
 
-/// Shared integration state for Simulate and RiverEvaluation over an
-/// arbitrary constituent registry, including the divergence watchdogs.
-/// Once a watchdog aborts the rollout, every remaining day predicts
-/// config.state_max in O(1) — a deterministic penalty that keeps the
-/// full-horizon RMSE comparable across candidates (and bit-identical
-/// regardless of thread count) while skipping all further derivative
-/// evaluations.
-///
-/// Variable layout: constituent states at slots [0, N), then the ten
-/// Table IV drivers — so at N == 2 every index, every arithmetic operation,
-/// and every watchdog decision is exactly the historical two-species
-/// integrator (the bit-identity contract of the legacy preset).
-class Integrator {
+/// The derivative runner of every forward rollout. Evaluates the process
+/// equations through the configured backend: interpreted tree walking,
+/// compiled bytecode, native JIT ("runtime compilation"), or the batched
+/// VM with optional generation-JIT symbols. The scalar evaluators read one
+/// lane in AoS order, which is the SoA layout at width 1, so they serve
+/// width-1 blocks only; the batched backends serve any width.
+class ProcessRunner final : public DerivativeSource {
  public:
-  Integrator(const std::vector<expr::ExprPtr>& equations,
-             const std::vector<double>* parameters, bool compiled,
-             const RiverDataset* dataset,
-             const std::vector<double>& initial_state,
-             const SimulationConfig& config)
-      : runner_(equations, parameters, compiled, config),
-        dataset_(dataset),
-        config_(config),
-        num_species_(initial_state.size()),
-        num_variables_(initial_state.size() +
-                       static_cast<std::size_t>(kNumDriverVariables)),
-        vars_(num_variables_, 0.0),
-        d_(num_species_, 0.0),
-        raw_(num_species_, 0.0),
-        k_(4 * num_species_, 0.0) {
-    GMR_CHECK_EQ(equations.size(), num_species_);
-    state_.reserve(num_species_);
-    for (std::size_t s = 0; s < num_species_; ++s) {
-      state_.push_back(ClampState(initial_state[s], config));
-    }
-  }
-
-  /// Integrates one day using the drivers of day `t`; read the end-of-day
-  /// states through StateOrPenalty.
-  void AdvanceDay(std::size_t t) {
-    ++days_simulated_;
-    if (aborted_) return;
-    double* variables = vars_.data();
-    for (int k = 0; k < kNumDriverVariables; ++k) {
-      variables[num_species_ + static_cast<std::size_t>(k)] =
-          dataset_->drivers[static_cast<std::size_t>(kVlgt + k)][t];
-    }
-    const double dt = 1.0 / static_cast<double>(config_.substeps);
-    for (int step = 0; step < config_.substeps && !aborted_; ++step) {
-      if (config_.substep_budget > 0 &&
-          substeps_used_ >= config_.substep_budget) {
-        Abort(EvalOutcome::kBudgetExceeded);
-        break;
+  /// When `compiled` and the config selects kNativeJit, each equation is
+  /// JIT-compiled (subject to the circuit breaker); under kBatchJit, the
+  /// session compiles the system's symbols. Equations whose compile fails
+  /// fall back to the bytecode / batched VM, recorded in jit_fallback().
+  ProcessRunner(const std::vector<expr::ExprPtr>& equations, bool compiled,
+                const SimulationConfig& config)
+      : equations_(equations), compiled_(compiled) {
+    GMR_CHECK(!equations_.empty());
+    if (!compiled_) return;
+    const CompiledBackend backend = config.compiled_backend;
+    if (backend == CompiledBackend::kBatchVm ||
+        backend == CompiledBackend::kBatchJit) {
+      batch_programs_.reserve(equations_.size());
+      for (const auto& eq : equations_) {
+        batch_programs_.push_back(expr::CompileBatch(*eq));
       }
-      ++substeps_used_;
-      if (config_.method == IntegrationMethod::kRk4) {
-        Rk4Step(variables, dt);
-      } else {
-        EulerStep(variables, dt);
+      if (backend != CompiledBackend::kBatchJit) return;
+      expr::BatchJitSession* session =
+          config.batch_jit_session != nullptr
+              ? config.batch_jit_session
+              : expr::BatchJitSession::Default();
+      std::vector<const expr::Expr*> roots;
+      roots.reserve(equations_.size());
+      for (const auto& eq : equations_) roots.push_back(eq.get());
+      // Pure cache hits when the evaluator's PrepareBatch already compiled
+      // this generation; a miss compiles a (small) TU for this system.
+      batch_fns_ = session->CompileBatch(roots);
+      for (const auto fn : batch_fns_) {
+        if (fn == nullptr) jit_fallback_ = true;
       }
-    }
-  }
-
-  /// End-of-day state of one constituent, or the penalty value after a
-  /// watchdog abort.
-  double StateOrPenalty(std::size_t species) const {
-    return aborted_ ? config_.state_max : state_[species];
-  }
-
-  EvalOutcome outcome() const {
-    if (aborted_) return abort_outcome_;
-    if (runner_.jit_fallback()) return EvalOutcome::kJitCompileFailed;
-    return EvalOutcome::kOk;
-  }
-
-  bool aborted() const { return aborted_; }
-
-  void FillReport(SimulationReport* report) const {
-    report->outcome = outcome();
-    report->aborted = aborted_;
-    report->jit_fallback = runner_.jit_fallback();
-    report->substeps_used = substeps_used_;
-    report->days_simulated = days_simulated_;
-    report->days_before_abort = aborted_ ? days_before_abort_ : days_simulated_;
-    report->nonfinite_derivatives = nonfinite_derivatives_;
-    report->clamp_saturations = clamp_saturations_;
-  }
-
- private:
-  void Abort(EvalOutcome outcome) {
-    aborted_ = true;
-    abort_outcome_ = outcome;
-    // The current day did not complete; it and all later days predict the
-    // penalty value.
-    days_before_abort_ = days_simulated_ - 1;
-  }
-
-  /// Watchdog bookkeeping for one Derivatives call: ONE increment per call
-  /// when any output is non-finite (not one per species — the historical
-  /// counting contract).
-  void NoteDerivatives(const double* derivatives) {
-    bool all_finite = true;
-    for (std::size_t s = 0; s < num_species_; ++s) {
-      all_finite = all_finite && std::isfinite(derivatives[s]);
-    }
-    if (all_finite) return;
-    ++nonfinite_derivatives_;
-    if (config_.max_nonfinite_derivatives > 0 &&
-        nonfinite_derivatives_ >=
-            static_cast<std::size_t>(config_.max_nonfinite_derivatives)) {
-      Abort(EvalOutcome::kNonFiniteDerivative);
-    }
-  }
-
-  /// Clamps and commits the end-of-substep state, tracking consecutive
-  /// ceiling saturations (ORed across species) for the divergence watchdog.
-  void CommitState(const double* raw) {
-    bool saturated = false;
-    for (std::size_t s = 0; s < num_species_; ++s) {
-      state_[s] = ClampState(raw[s], config_, &saturated);
-    }
-    if (!saturated) {
-      consecutive_saturated_ = 0;
       return;
     }
-    ++clamp_saturations_;
-    ++consecutive_saturated_;
-    if (config_.max_saturated_substeps > 0 &&
-        consecutive_saturated_ >=
-            static_cast<std::size_t>(config_.max_saturated_substeps)) {
-      Abort(EvalOutcome::kClampSaturated);
-    }
-  }
-
-  void EulerStep(double* variables, double dt) {
-    for (std::size_t s = 0; s < num_species_; ++s) variables[s] = state_[s];
-    runner_.Derivatives(variables, num_variables_, d_.data());
-    NoteDerivatives(d_.data());
-    if (aborted_) return;
-    for (std::size_t s = 0; s < num_species_; ++s) {
-      raw_[s] = state_[s] + dt * d_[s];
-    }
-    CommitState(raw_.data());
-  }
-
-  void Rk4Step(double* variables, double dt) {
-    const double offsets[4] = {0.0, 0.5, 0.5, 1.0};
-    for (int stage = 0; stage < 4; ++stage) {
-      const double o = offsets[stage];
-      double* k = &k_[static_cast<std::size_t>(stage) * num_species_];
-      const double* k_prev =
-          stage == 0
-              ? nullptr
-              : &k_[static_cast<std::size_t>(stage - 1) * num_species_];
-      for (std::size_t s = 0; s < num_species_; ++s) {
-        variables[s] =
-            o == 0.0 ? state_[s] : state_[s] + o * dt * k_prev[s];
+    // The bytecode programs are also the fallback for any equation whose
+    // JIT compile fails.
+    programs_.reserve(equations_.size());
+    for (const auto& eq : equations_) programs_.push_back(expr::Compile(*eq));
+    if (backend != CompiledBackend::kNativeJit) return;
+    expr::JitCircuitBreaker* breaker = config.jit_breaker != nullptr
+                                           ? config.jit_breaker
+                                           : expr::JitCircuitBreaker::Default();
+    jit_programs_.resize(equations_.size());
+    for (std::size_t i = 0; i < equations_.size(); ++i) {
+      if (!breaker->allowed()) {
+        jit_fallback_ = true;
+        continue;
       }
-      runner_.Derivatives(variables, num_variables_, k);
-      NoteDerivatives(k);
-      if (aborted_) return;
-    }
-    for (std::size_t s = 0; s < num_species_; ++s) {
-      raw_[s] = state_[s] +
-                dt / 6.0 *
-                    (k_[0 * num_species_ + s] + 2.0 * k_[1 * num_species_ + s] +
-                     2.0 * k_[2 * num_species_ + s] + k_[3 * num_species_ + s]);
-    }
-    CommitState(raw_.data());
-  }
-
-  ProcessRunner runner_;
-  const RiverDataset* dataset_;
-  SimulationConfig config_;
-  std::size_t num_species_;
-  std::size_t num_variables_;
-  std::vector<double> state_;
-  std::vector<double> vars_;
-  /// Scratch: one derivative per species (Euler), committed raw states, and
-  /// the four RK stage slopes [stage * num_species + species].
-  std::vector<double> d_;
-  std::vector<double> raw_;
-  std::vector<double> k_;
-
-  bool aborted_ = false;
-  EvalOutcome abort_outcome_ = EvalOutcome::kOk;
-  std::size_t substeps_used_ = 0;
-  std::size_t days_simulated_ = 0;
-  std::size_t days_before_abort_ = 0;
-  std::size_t nonfinite_derivatives_ = 0;
-  std::size_t clamp_saturations_ = 0;
-  std::size_t consecutive_saturated_ = 0;
-};
-
-/// Evaluates every derivative equation for a whole lane block per call
-/// (one lane per parameter vector, SoA layout of batch_vm.h). Equation
-/// `e`'s outputs land at derivatives[e * width + lane].
-class BatchRunner {
- public:
-  BatchRunner(const std::vector<expr::ExprPtr>& equations,
-              const SimulationConfig& config)
-      : num_equations_(equations.size()) {
-    GMR_CHECK(!equations.empty());
-    programs_.reserve(equations.size());
-    for (const auto& eq : equations) {
-      programs_.push_back(expr::CompileBatch(*eq));
-    }
-    if (config.compiled_backend != CompiledBackend::kBatchJit) return;
-    expr::BatchJitSession* session =
-        config.batch_jit_session != nullptr
-            ? config.batch_jit_session
-            : expr::BatchJitSession::Default();
-    std::vector<const expr::Expr*> roots;
-    roots.reserve(equations.size());
-    for (const auto& eq : equations) roots.push_back(eq.get());
-    fns_ = session->CompileBatch(roots);
-    for (const auto fn : fns_) {
-      if (fn == nullptr) jit_fallback_ = true;
+      std::string error;
+      jit_programs_[i] = expr::JitProgram::Compile(*equations_[i], &error);
+      if (jit_programs_[i] != nullptr) {
+        breaker->RecordSuccess();
+      } else {
+        breaker->RecordFailure(error);
+        jit_fallback_ = true;
+      }
     }
   }
 
   void Derivatives(const double* variables, std::size_t num_variables,
                    const double* parameters, std::size_t num_parameters,
-                   std::size_t width, double* derivatives) const {
+                   std::size_t width, double* derivatives) override {
+    const std::size_t n = equations_.size();
     if (FaultInjected(FaultPoint::kDerivativeNan)) {
-      for (std::size_t i = 0; i < num_equations_ * width; ++i) {
-        derivatives[i] = std::numeric_limits<double>::quiet_NaN();
+      std::fill_n(derivatives, n * width,
+                  std::numeric_limits<double>::quiet_NaN());
+      return;
+    }
+    if (!batch_programs_.empty()) {
+      expr::BatchEvalContext ctx;
+      ctx.variables = variables;
+      ctx.num_variables = num_variables;
+      ctx.parameters = parameters;
+      ctx.num_parameters = num_parameters;
+      ctx.width = width;
+      for (std::size_t e = 0; e < n; ++e) {
+        double* out = derivatives + e * width;
+        if (!batch_fns_.empty() && batch_fns_[e] != nullptr) {
+          batch_fns_[e](variables, parameters, out, static_cast<long>(width));
+        } else {
+          batch_programs_[e].RunLanes(ctx, out);
+        }
       }
       return;
     }
-    expr::BatchEvalContext ctx;
-    ctx.variables = variables;
-    ctx.num_variables = num_variables;
-    ctx.parameters = parameters;
-    ctx.num_parameters = num_parameters;
-    ctx.width = width;
-    for (std::size_t e = 0; e < num_equations_; ++e) {
-      double* out = derivatives + e * width;
-      if (!fns_.empty() && fns_[e] != nullptr) {
-        fns_[e](variables, parameters, out, static_cast<long>(width));
+    const expr::EvalContext ctx{variables, num_variables, parameters,
+                                num_parameters};
+    for (std::size_t e = 0; e < n; ++e) {
+      if (!compiled_) {
+        derivatives[e] = expr::EvalExpr(*equations_[e], ctx);
+      } else if (!jit_programs_.empty() && jit_programs_[e] != nullptr) {
+        derivatives[e] = jit_programs_[e]->Run(ctx);
       } else {
-        programs_[e].RunLanes(ctx, out);
+        derivatives[e] = programs_[e].Run(ctx);
       }
     }
   }
 
-  bool jit_fallback() const { return jit_fallback_; }
+  bool jit_fallback() const override { return jit_fallback_; }
 
  private:
-  std::size_t num_equations_;
-  std::vector<expr::BatchProgram> programs_;
-  std::vector<expr::BatchJitSession::BatchFn> fns_;
+  std::vector<expr::ExprPtr> equations_;
+  bool compiled_;
+  std::vector<expr::CompiledProgram> programs_;
+  /// Parallel to equations_ under kNativeJit; a null entry means that
+  /// equation runs on the bytecode program instead.
+  std::vector<std::unique_ptr<expr::JitProgram>> jit_programs_;
+  /// Parallel to equations_ under kBatchVm and kBatchJit.
+  std::vector<expr::BatchProgram> batch_programs_;
+  /// Parallel to equations_ under kBatchJit; null entries degrade to
+  /// batch_programs_.
+  std::vector<expr::BatchJitSession::BatchFn> batch_fns_;
   bool jit_fallback_ = false;
 };
 
-/// Lane-parallel mirror of Integrator: the same watchdog state machine,
-/// replicated per lane over SoA buffers whose lane blocks span
-/// species x lanes (the MassBalanceStore layout). Every lane's trajectory,
-/// counters, and abort behavior are bit-identical to running the scalar
-/// Integrator on that lane's parameter vector alone (under an equivalent
-/// backend): a lane that trips a watchdog is masked out of commits and
-/// bookkeeping — its remaining days predict state_max — while its neighbors
-/// keep integrating. Masked lanes still flow through the (branch-free)
-/// derivative kernels; their outputs are simply ignored.
-class BatchIntegrator {
- public:
-  BatchIntegrator(const std::vector<expr::ExprPtr>& equations,
-                  const std::vector<std::vector<double>>& parameter_lanes,
-                  const RiverDataset* dataset,
-                  const std::vector<double>& initial_state, int primary,
-                  const SimulationConfig& config)
-      : runner_(equations, config),
-        dataset_(dataset),
-        config_(config),
-        width_(parameter_lanes.size()),
-        num_species_(initial_state.size()),
-        num_variables_(initial_state.size() +
-                       static_cast<std::size_t>(kNumDriverVariables)),
-        primary_(static_cast<std::size_t>(primary)),
-        states_(initial_state.size(), parameter_lanes.size()) {
-    GMR_CHECK_GT(width_, 0u);
-    GMR_CHECK_EQ(equations.size(), num_species_);
-    GMR_CHECK_LT(primary_, num_species_);
-    num_parameters_ = parameter_lanes[0].size();
-    params_.resize(num_parameters_ * width_);
+}  // namespace
+
+LaneIntegrator::LaneIntegrator(DerivativeSource* source,
+                               const RiverDataset* dataset,
+                               std::vector<double> parameters,
+                               std::size_t width,
+                               const std::vector<double>& initial_state,
+                               const SimulationConfig& config)
+    : source_(source),
+      dataset_(dataset),
+      config_(config),
+      width_(width),
+      num_species_(initial_state.size()),
+      num_variables_(initial_state.size() +
+                     static_cast<std::size_t>(kNumDriverVariables)),
+      num_parameters_(width == 0 ? 0 : parameters.size() / width),
+      dt_(1.0 / static_cast<double>(config.substeps)),
+      params_(std::move(parameters)),
+      lanes_(width),
+      states_(num_species_ * width),
+      vars_(num_variables_ * width),
+      k_((config.method == IntegrationMethod::kRk4 ? 4 : 1) * num_species_ *
+         width),
+      raw_(num_species_ * width) {
+  GMR_CHECK(source_ != nullptr);
+  GMR_CHECK_GT(width_, 0u);
+  GMR_CHECK_EQ(num_parameters_ * width_, params_.size());
+  SetState(initial_state);
+}
+
+void LaneIntegrator::SetState(const std::vector<double>& state) {
+  GMR_CHECK_EQ(state.size(), num_species_);
+  for (std::size_t s = 0; s < num_species_; ++s) {
+    std::fill_n(&states_[s * width_], width_, ClampState(state[s], config_));
+  }
+}
+
+bool LaneIntegrator::BeginDay(std::size_t t) {
+  bool any_live = false;
+  for (Lane& lane : lanes_) {
+    ++lane.days_simulated;
+    any_live = any_live || !lane.aborted;
+  }
+  if (!any_live) return false;
+  double* drivers = vars_.data() + num_species_ * width_;
+  for (int k = 0; k < kNumDriverVariables; ++k) {
+    const double v = dataset_->drivers[static_cast<std::size_t>(kVlgt + k)][t];
     for (std::size_t l = 0; l < width_; ++l) {
-      GMR_CHECK_EQ(parameter_lanes[l].size(), num_parameters_);
-      for (std::size_t s = 0; s < num_parameters_; ++s) {
-        params_[s * width_ + l] = parameter_lanes[l][s];
-      }
+      drivers[static_cast<std::size_t>(k) * width_ + l] = v;
     }
-    for (std::size_t s = 0; s < num_species_; ++s) {
-      const double v = ClampState(initial_state[s], config_);
-      double* row = states_.row(s);
-      for (std::size_t l = 0; l < width_; ++l) row[l] = v;
-    }
-    lanes_.assign(width_, Lane{});
-    vars_.resize(num_variables_ * width_);
-    k_.resize(4 * num_species_ * width_);
-    raw_lane_.resize(num_species_);
-    stage_live_.resize(width_);
   }
+  return true;
+}
 
-  /// Integrates one day for every lane; out[lane] is that lane's end-of-day
-  /// primary observed constituent (or the penalty value once the lane has
-  /// aborted).
-  void AdvanceDay(std::size_t t, double* out) {
-    bool all_aborted = true;
-    for (Lane& lane : lanes_) {
-      ++lane.days_simulated;
-      all_aborted = all_aborted && lane.aborted;
+void LaneIntegrator::AdvanceDay(std::size_t t) {
+  if (!BeginDay(t)) return;
+  for (int step = 0; step < config_.substeps; ++step) {
+    if (!Substep()) break;
+  }
+}
+
+bool LaneIntegrator::Substep() {
+  // Every scalar rollout runs at width 1; handing the compiler that width
+  // as a constant collapses the lane loops of the same code.
+  return width_ == 1 ? SubstepAt<1>() : SubstepAt<0>();
+}
+
+template <std::size_t kWidth>
+bool LaneIntegrator::SubstepAt() {
+  const std::size_t width = kWidth != 0 ? kWidth : width_;
+  Lane* lanes = lanes_.data();
+  bool any_live = false;
+  for (std::size_t l = 0; l < width; ++l) {
+    Lane& lane = lanes[l];
+    lane.live = false;
+    if (lane.aborted) continue;
+    if (config_.substep_budget > 0 &&
+        lane.substeps_used >= config_.substep_budget) {
+      Abort(lane, EvalOutcome::kBudgetExceeded);
+      continue;
     }
-    if (!all_aborted) {
-      for (int k = 0; k < kNumDriverVariables; ++k) {
-        const double v =
-            dataset_->drivers[static_cast<std::size_t>(kVlgt + k)][t];
-        double* row =
-            &vars_[(num_species_ + static_cast<std::size_t>(k)) * width_];
-        for (std::size_t l = 0; l < width_; ++l) row[l] = v;
+    ++lane.substeps_used;
+    lane.live = true;
+    any_live = true;
+  }
+  if (!any_live) return false;
+
+  const std::size_t n = num_species_ * width;
+  const double dt = dt_;
+  double* vars = vars_.data();
+  double* states = states_.data();
+  const int num_stages = config_.method == IntegrationMethod::kRk4 ? 4 : 1;
+  for (int stage = 0; stage < num_stages; ++stage) {
+    double* k = k_.data() + static_cast<std::size_t>(stage) * n;
+    if (stage == 0) {
+      for (std::size_t i = 0; i < n; ++i) vars[i] = states[i];
+    } else {
+      const double o = kRk4StageOffsets[stage];
+      const double* k_prev = k - n;
+      for (std::size_t i = 0; i < n; ++i) {
+        vars[i] = states[i] + o * dt * k_prev[i];
       }
-      const double dt = 1.0 / static_cast<double>(config_.substeps);
-      for (int step = 0; step < config_.substeps; ++step) {
-        bool any_active = false;
-        for (Lane& lane : lanes_) {
-          if (lane.aborted) continue;
-          if (config_.substep_budget > 0 &&
-              lane.substeps_used >= config_.substep_budget) {
-            AbortLane(lane, EvalOutcome::kBudgetExceeded);
-            continue;
-          }
-          ++lane.substeps_used;
-          any_active = true;
+    }
+    source_->Derivatives(vars, num_variables_, params_.data(),
+                         num_parameters_, width, k);
+    // One non-finite count per Derivatives call and lane, whichever species
+    // went non-finite. A lane that aborts here skips the later stages'
+    // bookkeeping and the commit: the scalar rollout's early return.
+    bool stage_live = false;
+    for (std::size_t l = 0; l < width; ++l) {
+      Lane& lane = lanes[l];
+      if (!lane.live) continue;
+      bool all_finite = true;
+      for (std::size_t s = 0; s < num_species_; ++s) {
+        all_finite = all_finite && std::isfinite(k[s * width + l]);
+      }
+      if (!all_finite) {
+        ++lane.nonfinite_derivatives;
+        if (config_.max_nonfinite_derivatives > 0 &&
+            lane.nonfinite_derivatives >=
+                static_cast<std::size_t>(config_.max_nonfinite_derivatives)) {
+          Abort(lane, EvalOutcome::kNonFiniteDerivative);
+          lane.live = false;
+          continue;
         }
-        if (!any_active) break;
-        if (config_.method == IntegrationMethod::kRk4) {
-          Rk4Step(dt);
-        } else {
-          EulerStep(dt);
-        }
       }
+      stage_live = true;
     }
-    for (std::size_t l = 0; l < width_; ++l) {
-      out[l] =
-          lanes_[l].aborted ? config_.state_max : states_.at(primary_, l);
-    }
+    if (!stage_live) return true;
   }
 
-  /// End-of-day state of one constituent in one lane, or the penalty value
-  /// after that lane's watchdog abort.
-  double StateOrPenalty(std::size_t species, std::size_t lane) const {
-    return lanes_[lane].aborted ? config_.state_max
-                                : states_.at(species, lane);
-  }
-
-  void FillReport(std::size_t lane_index, SimulationReport* report) const {
-    const Lane& lane = lanes_[lane_index];
-    report->outcome = lane.aborted ? lane.abort_outcome
-                      : runner_.jit_fallback()
-                          ? EvalOutcome::kJitCompileFailed
-                          : EvalOutcome::kOk;
-    report->aborted = lane.aborted;
-    report->jit_fallback = runner_.jit_fallback();
-    report->substeps_used = lane.substeps_used;
-    report->days_simulated = lane.days_simulated;
-    report->days_before_abort =
-        lane.aborted ? lane.days_before_abort : lane.days_simulated;
-    report->nonfinite_derivatives = lane.nonfinite_derivatives;
-    report->clamp_saturations = lane.clamp_saturations;
-  }
-
- private:
-  /// One lane's copy of the scalar Integrator's watchdog state machine
-  /// (the states themselves live in the SoA MassBalanceStore).
-  struct Lane {
-    bool aborted = false;
-    EvalOutcome abort_outcome = EvalOutcome::kOk;
-    std::size_t substeps_used = 0;
-    std::size_t days_simulated = 0;
-    std::size_t days_before_abort = 0;
-    std::size_t nonfinite_derivatives = 0;
-    std::size_t clamp_saturations = 0;
-    std::size_t consecutive_saturated = 0;
-  };
-
-  double* StageBlock(int stage) {
-    return &k_[static_cast<std::size_t>(stage) * num_species_ * width_];
-  }
-
-  void AbortLane(Lane& lane, EvalOutcome outcome) {
-    lane.aborted = true;
-    lane.abort_outcome = outcome;
-    lane.days_before_abort = lane.days_simulated - 1;
-  }
-
-  /// One increment per Derivatives call when any species' output for this
-  /// lane is non-finite (the scalar counting contract).
-  void NoteDerivatives(Lane& lane, std::size_t l, const double* k_block) {
-    bool all_finite = true;
-    for (std::size_t s = 0; s < num_species_; ++s) {
-      all_finite = all_finite && std::isfinite(k_block[s * width_ + l]);
-    }
-    if (all_finite) return;
-    ++lane.nonfinite_derivatives;
-    if (config_.max_nonfinite_derivatives > 0 &&
-        lane.nonfinite_derivatives >=
-            static_cast<std::size_t>(config_.max_nonfinite_derivatives)) {
-      AbortLane(lane, EvalOutcome::kNonFiniteDerivative);
+  double* raw = raw_.data();
+  const double* k0 = k_.data();
+  if (num_stages == 1) {
+    for (std::size_t i = 0; i < n; ++i) raw[i] = states[i] + dt * k0[i];
+  } else {
+    const double* k1 = k0 + n;
+    const double* k2 = k1 + n;
+    const double* k3 = k2 + n;
+    for (std::size_t i = 0; i < n; ++i) {
+      raw[i] = states[i] +
+               dt / 6.0 * (k0[i] + 2.0 * k1[i] + 2.0 * k2[i] + k3[i]);
     }
   }
-
-  void CommitState(Lane& lane, std::size_t l, const double* raw) {
+  // Clamp and commit every live lane, counting consecutive ceiling
+  // saturations (ORed across species) for the divergence watchdog.
+  for (std::size_t l = 0; l < width; ++l) {
+    Lane& lane = lanes[l];
+    if (!lane.live) continue;
     bool saturated = false;
     for (std::size_t s = 0; s < num_species_; ++s) {
-      states_.at(s, l) = ClampState(raw[s], config_, &saturated);
+      states[s * width + l] =
+          ClampState(raw[s * width + l], config_, &saturated);
     }
     if (!saturated) {
       lane.consecutive_saturated = 0;
-      return;
+      continue;
     }
     ++lane.clamp_saturations;
     ++lane.consecutive_saturated;
     if (config_.max_saturated_substeps > 0 &&
         lane.consecutive_saturated >=
             static_cast<std::size_t>(config_.max_saturated_substeps)) {
-      AbortLane(lane, EvalOutcome::kClampSaturated);
+      Abort(lane, EvalOutcome::kClampSaturated);
     }
   }
+  return true;
+}
 
-  void EulerStep(double dt) {
-    for (std::size_t s = 0; s < num_species_; ++s) {
-      double* row = &vars_[s * width_];
-      const double* state_row = states_.row(s);
-      for (std::size_t l = 0; l < width_; ++l) row[l] = state_row[l];
-    }
-    double* k = StageBlock(0);
-    runner_.Derivatives(vars_.data(), num_variables_, params_.data(),
-                        num_parameters_, width_, k);
-    for (std::size_t l = 0; l < width_; ++l) {
-      Lane& lane = lanes_[l];
-      if (lane.aborted) continue;
-      NoteDerivatives(lane, l, k);
-      if (lane.aborted) continue;
-      for (std::size_t s = 0; s < num_species_; ++s) {
-        raw_lane_[s] = states_.at(s, l) + dt * k[s * width_ + l];
-      }
-      CommitState(lane, l, raw_lane_.data());
+EvalOutcome LaneIntegrator::outcome(std::size_t lane) const {
+  if (lanes_[lane].aborted) return lanes_[lane].abort_outcome;
+  if (source_->jit_fallback()) return EvalOutcome::kJitCompileFailed;
+  return EvalOutcome::kOk;
+}
+
+void LaneIntegrator::FillReport(std::size_t lane_index,
+                                SimulationReport* report) const {
+  const Lane& lane = lanes_[lane_index];
+  report->outcome = outcome(lane_index);
+  report->aborted = lane.aborted;
+  report->jit_fallback = source_->jit_fallback();
+  report->substeps_used = lane.substeps_used;
+  report->days_simulated = lane.days_simulated;
+  report->days_before_abort =
+      lane.aborted ? lane.days_before_abort : lane.days_simulated;
+  report->nonfinite_derivatives = lane.nonfinite_derivatives;
+  report->clamp_saturations = lane.clamp_saturations;
+}
+
+void LaneIntegrator::Abort(Lane& lane, EvalOutcome outcome) {
+  lane.aborted = true;
+  lane.abort_outcome = outcome;
+  // The current day did not complete; it and all later days predict the
+  // penalty value.
+  lane.days_before_abort = lane.days_simulated - 1;
+}
+
+std::vector<ObservationBinding> BindObservations(
+    const ConstituentSet& constituents) {
+  std::vector<ObservationBinding> observations;
+  for (std::size_t i = 0; i < constituents.size(); ++i) {
+    const Constituent& c = constituents.at(i);
+    if (c.observed_series >= 0) {
+      observations.push_back(ObservationBinding{i, c.observed_series});
     }
   }
-
-  void Rk4Step(double dt) {
-    const double offsets[4] = {0.0, 0.5, 0.5, 1.0};
-    // A lane that aborts at stage k skips the later stages' bookkeeping and
-    // the final commit — the batched image of the scalar early return.
-    for (std::size_t l = 0; l < width_; ++l) {
-      stage_live_[l] = lanes_[l].aborted ? 0 : 1;
-    }
-    for (int stage = 0; stage < 4; ++stage) {
-      const double o = offsets[stage];
-      double* k = StageBlock(stage);
-      const double* k_prev = stage == 0 ? nullptr : StageBlock(stage - 1);
-      for (std::size_t s = 0; s < num_species_; ++s) {
-        double* var_row = &vars_[s * width_];
-        const double* state_row = states_.row(s);
-        const double* k_prev_row =
-            k_prev == nullptr ? nullptr : k_prev + s * width_;
-        for (std::size_t l = 0; l < width_; ++l) {
-          var_row[l] = o == 0.0 ? state_row[l]
-                                : state_row[l] + o * dt * k_prev_row[l];
-        }
-      }
-      runner_.Derivatives(vars_.data(), num_variables_, params_.data(),
-                          num_parameters_, width_, k);
-      for (std::size_t l = 0; l < width_; ++l) {
-        if (stage_live_[l] == 0) continue;
-        NoteDerivatives(lanes_[l], l, k);
-        if (lanes_[l].aborted) stage_live_[l] = 0;
-      }
-    }
-    const double* k0 = StageBlock(0);
-    const double* k1 = StageBlock(1);
-    const double* k2 = StageBlock(2);
-    const double* k3 = StageBlock(3);
-    for (std::size_t l = 0; l < width_; ++l) {
-      if (stage_live_[l] == 0) continue;
-      Lane& lane = lanes_[l];
-      for (std::size_t s = 0; s < num_species_; ++s) {
-        raw_lane_[s] =
-            states_.at(s, l) +
-            dt / 6.0 *
-                (k0[s * width_ + l] + 2.0 * k1[s * width_ + l] +
-                 2.0 * k2[s * width_ + l] + k3[s * width_ + l]);
-      }
-      CommitState(lane, l, raw_lane_.data());
-    }
+  if (observations.empty()) {
+    observations.push_back(ObservationBinding{
+        static_cast<std::size_t>(constituents.PrimaryObserved()), 0});
   }
+  return observations;
+}
 
-  BatchRunner runner_;
-  const RiverDataset* dataset_;
-  SimulationConfig config_;
-  std::size_t width_;
-  std::size_t num_species_;
-  std::size_t num_variables_;
-  std::size_t primary_;
-  std::size_t num_parameters_ = 0;
-  std::vector<Lane> lanes_;
-  /// Species x lanes SoA state blocks.
-  MassBalanceStore states_;
-  /// SoA blocks: index [slot * width_ + lane].
-  std::vector<double> params_;
-  std::vector<double> vars_;
-  /// RK stage slopes, [(stage * num_species + species) * width_ + lane];
-  /// Euler uses stage 0 only.
-  std::vector<double> k_;
-  /// Per-lane raw-state scratch for CommitState.
-  std::vector<double> raw_lane_;
-  std::vector<char> stage_live_;
-};
-
-/// One observation binding of a fitness problem: constituent state index ->
-/// dataset observed-series index.
-struct ObservationBinding {
-  std::size_t species = 0;
-  int series = 0;
-};
+namespace {
 
 class RiverEvaluation : public gp::SequentialEvaluation {
  public:
@@ -746,19 +435,22 @@ class RiverEvaluation : public gp::SequentialEvaluation {
                   const std::vector<double>& initial_state,
                   std::vector<ObservationBinding> observations,
                   const SimulationConfig& config)
-      : parameters_(parameters),
-        integrator_(equations, &parameters_, compiled, dataset,
-                    initial_state, config),
+      : runner_(equations, compiled, config),
+        integrator_(&runner_, dataset, parameters, 1, initial_state, config),
         dataset_(dataset),
         observations_(std::move(observations)),
         t_(t_begin),
         t_end_(t_end) {}
+  // integrator_ points at runner_, so the evaluation stays where it was
+  // built.
+  RiverEvaluation(const RiverEvaluation&) = delete;
+  RiverEvaluation& operator=(const RiverEvaluation&) = delete;
 
   bool Step() override {
     GMR_CHECK_LT(t_, t_end_);
     integrator_.AdvanceDay(t_);
     for (const ObservationBinding& binding : observations_) {
-      const double predicted = integrator_.StateOrPenalty(binding.species);
+      const double predicted = integrator_.StateOrPenalty(binding.species, 0);
       const double observed = dataset_->ObservedSeries(binding.series)[t_];
       const double error = predicted - observed;
       sse_ += error * error;
@@ -778,13 +470,11 @@ class RiverEvaluation : public gp::SequentialEvaluation {
 
   std::size_t steps_taken() const override { return steps_; }
 
-  EvalOutcome outcome() const override { return integrator_.outcome(); }
+  EvalOutcome outcome() const override { return integrator_.outcome(0); }
 
  private:
-  // Owns a copy so the integrator's pointer stays valid for the lifetime of
-  // the evaluation regardless of caller storage.
-  std::vector<double> parameters_;
-  Integrator integrator_;
+  ProcessRunner runner_;
+  LaneIntegrator integrator_;
   const RiverDataset* dataset_;
   std::vector<ObservationBinding> observations_;
   std::size_t t_;
@@ -793,22 +483,11 @@ class RiverEvaluation : public gp::SequentialEvaluation {
   std::size_t steps_ = 0;
 };
 
-std::vector<ObservationBinding> BindObservations(
-    const ConstituentSet& constituents) {
-  std::vector<ObservationBinding> observations;
-  for (std::size_t i = 0; i < constituents.size(); ++i) {
-    const Constituent& c = constituents.at(i);
-    if (c.observed_series >= 0) {
-      observations.push_back(ObservationBinding{i, c.observed_series});
-    }
-  }
-  // A problem with no mapped observation still needs a defined fitness;
-  // fall back to the primary state against the primary series.
-  if (observations.empty()) {
-    observations.push_back(ObservationBinding{
-        static_cast<std::size_t>(constituents.PrimaryObserved()), 0});
-  }
-  return observations;
+/// The legacy plankton preset with the initial conditions `dataset` carries.
+ConstituentSet LegacyConstituents(const RiverDataset& dataset) {
+  return ConstituentSet::LegacyPlankton(
+      dataset.initial_bphy, dataset.initial_bzoo, dataset.test_initial_bphy,
+      dataset.test_initial_bzoo);
 }
 
 }  // namespace
@@ -827,18 +506,19 @@ SimulationTrajectory Simulate(const std::vector<expr::ExprPtr>& equations,
       ValidateSimulation(config, constituents, equations.size());
   GMR_CHECK_MSG(err.ok(), err.message.c_str());
   GMR_CHECK_EQ(initial_state.size(), constituents.size());
-  Integrator integrator(equations, &parameters, compiled, &dataset,
-                        initial_state, config);
+  ProcessRunner runner(equations, compiled, config);
+  LaneIntegrator integrator(&runner, &dataset, parameters, 1, initial_state,
+                            config);
   SimulationTrajectory trajectory;
   trajectory.series.resize(constituents.size());
   for (auto& series : trajectory.series) series.reserve(t_end - t_begin);
   for (std::size_t t = t_begin; t < t_end; ++t) {
     integrator.AdvanceDay(t);
     for (std::size_t s = 0; s < constituents.size(); ++s) {
-      trajectory.series[s].push_back(integrator.StateOrPenalty(s));
+      trajectory.series[s].push_back(integrator.StateOrPenalty(s, 0));
     }
   }
-  if (report != nullptr) integrator.FillReport(report);
+  if (report != nullptr) integrator.FillReport(0, report);
   return trajectory;
 }
 
@@ -862,52 +542,34 @@ BatchSimulationResult BatchSimulate(
   result.predicted.resize(result.width);
   result.reports.resize(result.width);
   if (result.width == 0) return result;
-  BatchIntegrator integrator(equations, parameter_lanes, &dataset,
-                             initial_state, constituents.PrimaryObserved(),
-                             config);
-  std::vector<double> day(result.width, 0.0);
+  // Lane blocks run on the batched VM, or on generation-JIT symbols when
+  // the config asks for them.
+  SimulationConfig lane_config = config;
+  if (lane_config.compiled_backend != CompiledBackend::kBatchJit) {
+    lane_config.compiled_backend = CompiledBackend::kBatchVm;
+  }
+  ProcessRunner runner(equations, /*compiled=*/true, lane_config);
+  const std::size_t num_parameters = parameter_lanes[0].size();
+  std::vector<double> parameters(num_parameters * result.width);
+  for (std::size_t l = 0; l < result.width; ++l) {
+    for (std::size_t p = 0; p < num_parameters; ++p) {
+      parameters[p * result.width + l] = parameter_lanes[l][p];
+    }
+  }
+  LaneIntegrator integrator(&runner, &dataset, std::move(parameters),
+                            result.width, initial_state, config);
+  const auto primary = static_cast<std::size_t>(constituents.PrimaryObserved());
   for (auto& lane : result.predicted) lane.reserve(t_end - t_begin);
   for (std::size_t t = t_begin; t < t_end; ++t) {
-    integrator.AdvanceDay(t, day.data());
+    integrator.AdvanceDay(t);
     for (std::size_t l = 0; l < result.width; ++l) {
-      result.predicted[l].push_back(day[l]);
+      result.predicted[l].push_back(integrator.StateOrPenalty(primary, l));
     }
   }
   for (std::size_t l = 0; l < result.width; ++l) {
     integrator.FillReport(l, &result.reports[l]);
   }
   return result;
-}
-
-std::vector<double> SimulateBPhy(const std::vector<expr::ExprPtr>& equations,
-                                 const std::vector<double>& parameters,
-                                 const RiverDataset& dataset,
-                                 std::size_t t_begin, std::size_t t_end,
-                                 double initial_bphy, double initial_bzoo,
-                                 const SimulationConfig& config,
-                                 bool compiled, SimulationReport* report) {
-  const ConstituentSet constituents = ConstituentSet::LegacyPlankton(
-      initial_bphy, initial_bzoo, initial_bphy, initial_bzoo);
-  SimulationConfig cfg = config;
-  cfg.num_species = 2;
-  SimulationTrajectory trajectory =
-      Simulate(equations, parameters, dataset, t_begin, t_end, constituents,
-               {initial_bphy, initial_bzoo}, cfg, compiled, report);
-  return std::move(trajectory.series[0]);
-}
-
-BatchSimulationResult BatchSimulateBPhy(
-    const std::vector<expr::ExprPtr>& equations,
-    const std::vector<std::vector<double>>& parameter_lanes,
-    const RiverDataset& dataset, std::size_t t_begin, std::size_t t_end,
-    double initial_bphy, double initial_bzoo,
-    const SimulationConfig& config) {
-  const ConstituentSet constituents = ConstituentSet::LegacyPlankton(
-      initial_bphy, initial_bzoo, initial_bphy, initial_bzoo);
-  SimulationConfig cfg = config;
-  cfg.num_species = 2;
-  return BatchSimulate(equations, parameter_lanes, dataset, t_begin, t_end,
-                       constituents, {initial_bphy, initial_bzoo}, cfg);
 }
 
 RiverFitness::RiverFitness(const RiverDataset* dataset, std::size_t t_begin,
@@ -931,29 +593,14 @@ RiverFitness::RiverFitness(const RiverDataset* dataset, std::size_t t_begin,
   GMR_CHECK_EQ(initial_state_.size(), constituents_.size());
 }
 
-RiverFitness::RiverFitness(const RiverDataset* dataset, std::size_t t_begin,
-                           std::size_t t_end, double initial_bphy,
-                           double initial_bzoo, SimulationConfig config)
-    : RiverFitness(dataset, t_begin, t_end,
-                   ConstituentSet::LegacyPlankton(initial_bphy, initial_bzoo,
-                                                  initial_bphy, initial_bzoo),
-                   {initial_bphy, initial_bzoo},
-                   [&config] {
-                     config.num_species = 2;
-                     return config;
-                   }()) {}
-
 RiverFitness RiverFitness::ForTraining(const RiverDataset* dataset,
                                        SimulationConfig config) {
-  return RiverFitness(dataset, 0, dataset->train_end, dataset->initial_bphy,
-                      dataset->initial_bzoo, config);
+  return ForTrainingWith(dataset, LegacyConstituents(*dataset), config);
 }
 
 RiverFitness RiverFitness::ForTest(const RiverDataset* dataset,
                                    SimulationConfig config) {
-  return RiverFitness(dataset, dataset->train_end, dataset->num_days,
-                      dataset->test_initial_bphy, dataset->test_initial_bzoo,
-                      config);
+  return ForTestWith(dataset, LegacyConstituents(*dataset), config);
 }
 
 RiverFitness RiverFitness::ForTrainingWith(const RiverDataset* dataset,

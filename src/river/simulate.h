@@ -8,8 +8,6 @@
 #include "common/status.h"
 #include "expr/ast.h"
 #include "expr/batch_jit.h"
-#include "expr/batch_vm.h"
-#include "expr/compile.h"
 #include "expr/jit.h"
 #include "gp/fitness.h"
 #include "river/constituents.h"
@@ -123,55 +121,131 @@ struct SimulationReport {
   std::size_t clamp_saturations = 0;
 };
 
-/// Evaluates the per-constituent process derivatives (one equation per
-/// state slot) through the configured backend: interpreted tree walking,
-/// compiled bytecode, or native JIT ("runtime compilation").
-class ProcessRunner {
+/// Stage offsets of the classic RK4 tableau: stage s evaluates the
+/// equations at state + offset[s] * dt * k[s - 1]. Euler is stage 0 alone.
+inline constexpr double kRk4StageOffsets[4] = {0.0, 0.5, 0.5, 1.0};
+
+/// The derivative side of the rollout kernel: evaluates every process
+/// equation over a block of `width` lanes. `variables` (num_variables
+/// slots) and `parameters` (num_parameters slots) are structure-of-arrays
+/// blocks indexed [slot * width + lane]; equation e's outputs land at
+/// derivatives[e * width + lane].
+class DerivativeSource {
  public:
-  ProcessRunner(const std::vector<expr::ExprPtr>& equations,
-                const std::vector<double>* parameters, bool compiled);
+  virtual void Derivatives(const double* variables, std::size_t num_variables,
+                           const double* parameters,
+                           std::size_t num_parameters, std::size_t width,
+                           double* derivatives) = 0;
+  /// True when an equation degraded from a JIT backend to a VM.
+  virtual bool jit_fallback() const { return false; }
 
-  /// Backend-aware constructor: when `compiled` and the config selects
-  /// kNativeJit, each equation is JIT-compiled (subject to the circuit
-  /// breaker); equations whose JIT compile fails fall back to bytecode,
-  /// recorded in jit_fallback().
-  ProcessRunner(const std::vector<expr::ExprPtr>& equations,
-                const std::vector<double>* parameters, bool compiled,
-                const SimulationConfig& config);
+ protected:
+  /// Sources are owned by their concrete type, never through this one.
+  ~DerivativeSource() = default;
+};
 
-  ~ProcessRunner();
+/// The one rollout kernel: Euler/RK4 substeps, the sign-aware state clamp
+/// and the divergence watchdogs over a block of `width` parameter lanes in
+/// structure-of-arrays layout (species x lanes, the MassBalanceStore
+/// layout). Scalar rollouts run it at width 1, where SoA equals the
+/// historical AoS variable layout: constituent states at slots [0, N), then
+/// the ten Table IV drivers.
+///
+/// Every lane keeps its own watchdog state machine. A lane that trips a
+/// watchdog is masked out of bookkeeping and commits (its remaining days
+/// predict state_max, in O(1)) while its neighbors keep integrating; masked
+/// lanes still flow through the branch-free derivative kernels, whose
+/// outputs are ignored. Once no lane is live the kernel stops evaluating
+/// stages, so the number of Derivatives calls at width 1 is exactly the
+/// scalar rollout's.
+class LaneIntegrator {
+ public:
+  /// `parameters` is the SoA parameter block [slot * width + lane]; at
+  /// width 1 it is simply the parameter vector. `source` is not owned and
+  /// must outlive the integrator.
+  LaneIntegrator(DerivativeSource* source, const RiverDataset* dataset,
+                 std::vector<double> parameters, std::size_t width,
+                 const std::vector<double>& initial_state,
+                 const SimulationConfig& config);
 
-  /// Computes every constituent derivative for the given variable vector
-  /// (layout of the problem's ConstituentSet, parameters bound at
-  /// construction). `derivatives` has one slot per equation.
-  void Derivatives(const double* variables, std::size_t num_variables,
-                   double* derivatives) const;
+  /// Clamps `state` (one value per species) into every lane, leaving the
+  /// watchdog state untouched.
+  void SetState(const std::vector<double>& state);
 
-  /// Deprecated two-species signature; forwards to the generic overload.
-  void Derivatives(const double* variables, std::size_t num_variables,
-                   double* d_bphy, double* d_bzoo) const;
+  /// Integrates day `t`: BeginDay, then up to config.substeps Substeps.
+  void AdvanceDay(std::size_t t);
+  /// Counts day `t` for every lane and loads its drivers. False when every
+  /// lane has aborted (nothing is left to integrate).
+  bool BeginDay(std::size_t t);
+  /// One Euler or RK4 substep of every live lane, charging the substep
+  /// budget first. False when no lane was live to run it.
+  bool Substep();
 
-  std::size_t num_equations() const { return equations_.size(); }
+  /// End-of-day state of one constituent in one lane, or the penalty value
+  /// after that lane's watchdog abort.
+  double StateOrPenalty(std::size_t species, std::size_t lane) const {
+    return lanes_[lane].aborted ? config_.state_max
+                                : states_[species * width_ + lane];
+  }
+  /// Pre-clamp states of the last substep, [species * width + lane]
+  /// (meaningful for the lanes that substep committed).
+  const std::vector<double>& raw() const { return raw_; }
 
-  /// True when any equation degraded from a JIT backend to a VM.
-  bool jit_fallback() const { return jit_fallback_; }
+  EvalOutcome outcome(std::size_t lane) const;
+  void FillReport(std::size_t lane, SimulationReport* report) const;
 
  private:
-  std::vector<expr::ExprPtr> equations_;
-  const std::vector<double>* parameters_;
-  bool compiled_;
-  std::vector<expr::CompiledProgram> programs_;
-  /// Parallel to equations_ when the JIT backend is active; a null entry
-  /// means that equation runs on the bytecode program instead.
-  std::vector<std::unique_ptr<expr::JitProgram>> jit_programs_;
-  /// Parallel to equations_ under kBatchVm (always populated) and kBatchJit
-  /// (fallback for equations whose batch symbol is unavailable).
-  std::vector<expr::BatchProgram> batch_programs_;
-  /// Parallel to equations_ under kBatchJit; null entries degrade to
-  /// batch_programs_.
-  std::vector<expr::BatchJitSession::BatchFn> batch_fns_;
-  bool jit_fallback_ = false;
+  /// One lane's watchdog state machine (its states live in states_).
+  struct Lane {
+    bool aborted = false;
+    /// Still committing within the current substep.
+    bool live = false;
+    EvalOutcome abort_outcome = EvalOutcome::kOk;
+    std::size_t substeps_used = 0;
+    std::size_t days_simulated = 0;
+    std::size_t days_before_abort = 0;
+    std::size_t nonfinite_derivatives = 0;
+    std::size_t clamp_saturations = 0;
+    std::size_t consecutive_saturated = 0;
+  };
+
+  void Abort(Lane& lane, EvalOutcome outcome);
+  /// Substep for a block of kWidth lanes, or of width_ lanes when kWidth
+  /// is 0.
+  template <std::size_t kWidth>
+  bool SubstepAt();
+
+  DerivativeSource* source_;
+  const RiverDataset* dataset_;
+  SimulationConfig config_;
+  std::size_t width_;
+  std::size_t num_species_;
+  std::size_t num_variables_;
+  std::size_t num_parameters_;
+  double dt_;
+  std::vector<double> params_;
+  std::vector<Lane> lanes_;
+  /// SoA blocks [slot * width + lane]: committed states, stage inputs, the
+  /// RK stage slopes [(stage * num_species + species) * width + lane]
+  /// (Euler uses stage 0 only), and the pre-clamp commit.
+  std::vector<double> states_;
+  std::vector<double> vars_;
+  std::vector<double> k_;
+  std::vector<double> raw_;
 };
+
+/// One observation binding of a fitness problem: constituent state index ->
+/// dataset observed-series index.
+struct ObservationBinding {
+  std::size_t species = 0;
+  int series = 0;
+};
+
+/// The fitness problem's observations, in evaluation order: every
+/// constituent with a mapped series, or else the primary state against the
+/// primary series (a problem still needs a defined fitness).
+std::vector<ObservationBinding> BindObservations(
+    const ConstituentSet& constituents);
 
 /// Full multi-constituent rollout trajectory: series[species][day] is the
 /// end-of-day state of that constituent (or the state_max penalty value on
@@ -225,26 +299,6 @@ BatchSimulationResult BatchSimulate(
     const std::vector<double>& initial_state,
     const SimulationConfig& config);
 
-/// Deprecated two-species entry point: thin wrapper over Simulate with the
-/// legacy plankton preset, returning the B_Phy series. New callers should
-/// build a ConstituentSet and call Simulate.
-std::vector<double> SimulateBPhy(const std::vector<expr::ExprPtr>& equations,
-                                 const std::vector<double>& parameters,
-                                 const RiverDataset& dataset,
-                                 std::size_t t_begin, std::size_t t_end,
-                                 double initial_bphy, double initial_bzoo,
-                                 const SimulationConfig& config,
-                                 bool compiled,
-                                 SimulationReport* report = nullptr);
-
-/// Deprecated two-species batch entry point: thin wrapper over
-/// BatchSimulate with the legacy plankton preset.
-BatchSimulationResult BatchSimulateBPhy(
-    const std::vector<expr::ExprPtr>& equations,
-    const std::vector<std::vector<double>>& parameter_lanes,
-    const RiverDataset& dataset, std::size_t t_begin, std::size_t t_end,
-    double initial_bphy, double initial_bzoo, const SimulationConfig& config);
-
 /// The river fitness problem: one fitness case per day; fitness is the
 /// running RMSE between the simulated and observed series of every
 /// observed constituent (the paper's fitness function for the legacy
@@ -257,11 +311,6 @@ class RiverFitness : public gp::SequentialFitness {
   RiverFitness(const RiverDataset* dataset, std::size_t t_begin,
                std::size_t t_end, ConstituentSet constituents,
                std::vector<double> initial_state,
-               SimulationConfig config = SimulationConfig{});
-
-  /// Deprecated two-species constructor (legacy plankton preset).
-  RiverFitness(const RiverDataset* dataset, std::size_t t_begin,
-               std::size_t t_end, double initial_bphy, double initial_bzoo,
                SimulationConfig config = SimulationConfig{});
 
   /// Convenience: the training-period fitness of `dataset` under the

@@ -33,11 +33,12 @@ namespace gmr {
 namespace {
 
 namespace e = gmr::expr;
-using river::BatchSimulateBPhy;
+using river::BatchSimulate;
 using river::CompiledBackend;
+using river::ConstituentSet;
 using river::IntegrationMethod;
 using river::RiverDataset;
-using river::SimulateBPhy;
+using river::Simulate;
 using river::SimulationConfig;
 using river::SimulationReport;
 
@@ -252,6 +253,9 @@ RiverDataset TinyDataset(std::size_t days) {
   return dataset;
 }
 
+/// The legacy two-species preset the rollouts below integrate.
+ConstituentSet Legacy() { return ConstituentSet::LegacyPlankton(); }
+
 /// Equations whose dynamics depend on the parameter vector, so distinct
 /// lanes trace distinct trajectories: dB_Phy/dt = p0 B_Phy - p1 B_Zoo,
 /// dB_Zoo/dt = p2 B_Phy.
@@ -287,14 +291,14 @@ void ExpectLaneMatchesScalar(const std::vector<e::ExprPtr>& equations,
                              const SimulationConfig& config,
                              std::size_t days) {
   const RiverDataset dataset = TinyDataset(days);
-  const auto batch = BatchSimulateBPhy(equations, lanes, dataset, 0, days,
-                                       5.0, 1.0, config);
+  const auto batch = BatchSimulate(equations, lanes, dataset, 0, days, Legacy(),
+                                   {5.0, 1.0}, config);
   ASSERT_EQ(batch.width, lanes.size());
   for (std::size_t l = 0; l < lanes.size(); ++l) {
     SimulationReport scalar_report;
-    const auto scalar = SimulateBPhy(equations, lanes[l], dataset, 0, days,
-                                     5.0, 1.0, config, /*compiled=*/true,
-                                     &scalar_report);
+    const auto scalar = Simulate(equations, lanes[l], dataset, 0, days,
+                                 Legacy(), {5.0, 1.0}, config,
+                                 /*compiled=*/true, &scalar_report).series[0];
     ASSERT_EQ(batch.predicted[l].size(), scalar.size()) << "lane " << l;
     for (std::size_t t = 0; t < scalar.size(); ++t) {
       EXPECT_TRUE(BitwiseEqual(batch.predicted[l][t], scalar[t]))
@@ -344,8 +348,8 @@ TEST(BatchRolloutTest, MaskedLaneIsIsolated) {
   const std::size_t days = 40;
   const RiverDataset dataset = TinyDataset(days);
   const auto lanes = MixedLanes(8);
-  const auto batch = BatchSimulateBPhy(ParameterizedEquations(), lanes,
-                                       dataset, 0, days, 5.0, 1.0, config);
+  const auto batch = BatchSimulate(ParameterizedEquations(), lanes, dataset, 0,
+                                   days, Legacy(), {5.0, 1.0}, config);
   // The divergent lane aborted with the saturation watchdog...
   const SimulationReport& divergent = batch.reports.back();
   EXPECT_TRUE(divergent.aborted);
@@ -375,10 +379,10 @@ TEST(BatchRolloutTest, BatchJitLanesMatchVmLanes) {
   const RiverDataset dataset = TinyDataset(days);
   const auto equations = ParameterizedEquations();
   const auto lanes = MixedLanes(4);
-  const auto vm = BatchSimulateBPhy(equations, lanes, dataset, 0, days, 5.0,
-                                    1.0, vm_config);
-  const auto jit = BatchSimulateBPhy(equations, lanes, dataset, 0, days, 5.0,
-                                     1.0, jit_config);
+  const auto vm = BatchSimulate(equations, lanes, dataset, 0, days, Legacy(),
+                                {5.0, 1.0}, vm_config);
+  const auto jit = BatchSimulate(equations, lanes, dataset, 0, days, Legacy(),
+                                 {5.0, 1.0}, jit_config);
   EXPECT_GE(session.stats().tu_compiles, 1u);
   for (std::size_t l = 0; l < lanes.size(); ++l) {
     EXPECT_FALSE(jit.reports[l].jit_fallback);
@@ -417,10 +421,10 @@ TEST(BatchFaultTest, CompileFaultFallsBackToVmWithoutPoisoningLanes) {
   const RiverDataset dataset = TinyDataset(days);
   const auto equations = ParameterizedEquations();
   const auto lanes = MixedLanes(4);
-  const auto faulty = BatchSimulateBPhy(equations, lanes, dataset, 0, days,
-                                        5.0, 1.0, jit_config);
-  const auto vm = BatchSimulateBPhy(equations, lanes, dataset, 0, days, 5.0,
-                                    1.0, vm_config);
+  const auto faulty = BatchSimulate(equations, lanes, dataset, 0, days,
+                                    Legacy(), {5.0, 1.0}, jit_config);
+  const auto vm = BatchSimulate(equations, lanes, dataset, 0, days, Legacy(),
+                                {5.0, 1.0}, vm_config);
   EXPECT_EQ(session.stats().tu_compiles, 0u);
   for (std::size_t l = 0; l < lanes.size(); ++l) {
     // The degradation is reported, exact, and per-lane bitwise identical

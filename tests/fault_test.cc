@@ -230,13 +230,19 @@ std::vector<double> ZeroParams() {
   return std::vector<double>(river::kNumParameters, 0.0);
 }
 
+/// The legacy two-species preset the rollouts below integrate.
+river::ConstituentSet Legacy() {
+  return river::ConstituentSet::LegacyPlankton();
+}
+
 TEST(SimulatorFaultTest, BenignRunReportsOk) {
   const river::RiverDataset dataset = TinyDataset(20);
   const std::vector<e::ExprPtr> equations{e::Constant(0.1), e::Constant(0.0)};
   river::SimulationReport report;
-  const auto predicted =
-      river::SimulateBPhy(equations, ZeroParams(), dataset, 0, 20, 5.0, 1.0,
-                          river::SimulationConfig{}, true, &report);
+  const auto predicted = river::Simulate(equations, ZeroParams(), dataset, 0,
+                                         20, Legacy(), {5.0, 1.0},
+                                         river::SimulationConfig{}, true,
+                                         &report).series[0];
   ASSERT_EQ(predicted.size(), 20u);
   EXPECT_EQ(report.outcome, EvalOutcome::kOk);
   EXPECT_FALSE(report.aborted);
@@ -258,8 +264,9 @@ TEST(SimulatorFaultTest, ClampIsSignAware) {
       e::Mul(e::Constant(-1e308), e::Variable(river::kBPhy, "B")),
       e::Constant(0.0)};
   river::SimulationReport report;
-  const auto predicted = river::SimulateBPhy(
-      crash, ZeroParams(), dataset, 0, 10, 5.0, 1.0, config, true, &report);
+  const auto predicted = river::Simulate(crash, ZeroParams(), dataset, 0, 10,
+                                         Legacy(), {5.0, 1.0}, config, true,
+                                         &report).series[0];
   EXPECT_DOUBLE_EQ(predicted.front(), config.state_min);
   // Floor-pinning is die-off, not divergence: no saturation events.
   EXPECT_EQ(report.clamp_saturations, 0u);
@@ -272,9 +279,9 @@ TEST(SimulatorFaultTest, NonFiniteDerivativeWatchdogAborts) {
       e::Mul(e::Constant(1e308), e::Variable(river::kBPhy, "B")),
       e::Constant(0.0)};
   river::SimulationReport report;
-  const auto predicted =
-      river::SimulateBPhy(divergent, ZeroParams(), dataset, 0, 40, 5.0, 1.0,
-                          config, true, &report);
+  const auto predicted = river::Simulate(divergent, ZeroParams(), dataset, 0,
+                                         40, Legacy(), {5.0, 1.0}, config, true,
+                                         &report).series[0];
   EXPECT_EQ(report.outcome, EvalOutcome::kNonFiniteDerivative);
   EXPECT_TRUE(report.aborted);
   EXPECT_EQ(report.nonfinite_derivatives, 8u);
@@ -297,9 +304,9 @@ TEST(SimulatorFaultTest, ClampSaturationWatchdogAborts) {
       e::Mul(e::Constant(1e6), e::Variable(river::kBPhy, "B")),
       e::Constant(0.0)};
   river::SimulationReport report;
-  const auto predicted =
-      river::SimulateBPhy(explosive, ZeroParams(), dataset, 0, 40, 5.0, 1.0,
-                          config, true, &report);
+  const auto predicted = river::Simulate(explosive, ZeroParams(), dataset, 0,
+                                         40, Legacy(), {5.0, 1.0}, config, true,
+                                         &report).series[0];
   EXPECT_EQ(report.outcome, EvalOutcome::kClampSaturated);
   EXPECT_TRUE(report.aborted);
   EXPECT_EQ(report.clamp_saturations, 64u);
@@ -315,9 +322,9 @@ TEST(SimulatorFaultTest, SubstepBudgetAborts) {
   config.substep_budget = 10;  // 5 days at 2 substeps/day
   const std::vector<e::ExprPtr> benign{e::Constant(0.0), e::Constant(0.0)};
   river::SimulationReport report;
-  const auto predicted =
-      river::SimulateBPhy(benign, ZeroParams(), dataset, 0, 20, 5.0, 1.0,
-                          config, true, &report);
+  const auto predicted = river::Simulate(benign, ZeroParams(), dataset, 0, 20,
+                                         Legacy(), {5.0, 1.0}, config, true,
+                                         &report).series[0];
   EXPECT_EQ(report.outcome, EvalOutcome::kBudgetExceeded);
   EXPECT_TRUE(report.aborted);
   EXPECT_EQ(report.substeps_used, 10u);
@@ -339,8 +346,8 @@ TEST(SimulatorFaultTest, WatchdogsCanBeDisabled) {
       e::Mul(e::Constant(1e308), e::Variable(river::kBPhy, "B")),
       e::Constant(0.0)};
   river::SimulationReport report;
-  river::SimulateBPhy(divergent, ZeroParams(), dataset, 0, 40, 5.0, 1.0,
-                      config, true, &report);
+  river::Simulate(divergent, ZeroParams(), dataset, 0, 40, Legacy(), {5.0, 1.0},
+                  config, true, &report);
   EXPECT_FALSE(report.aborted);
   EXPECT_EQ(report.outcome, EvalOutcome::kOk);
   EXPECT_EQ(report.substeps_used, 80u);  // full 40 days x 2
@@ -352,8 +359,8 @@ TEST(SimulatorFaultTest, DerivativeNanInjectionTripsWatchdog) {
   const river::RiverDataset dataset = TinyDataset(20);
   const std::vector<e::ExprPtr> benign{e::Constant(0.0), e::Constant(0.0)};
   river::SimulationReport report;
-  river::SimulateBPhy(benign, ZeroParams(), dataset, 0, 20, 5.0, 1.0,
-                      river::SimulationConfig{}, true, &report);
+  river::Simulate(benign, ZeroParams(), dataset, 0, 20, Legacy(), {5.0, 1.0},
+                  river::SimulationConfig{}, true, &report);
   EXPECT_EQ(report.outcome, EvalOutcome::kNonFiniteDerivative);
   EXPECT_TRUE(report.aborted);
   EXPECT_EQ(report.nonfinite_derivatives, 8u);
@@ -595,14 +602,15 @@ TEST(JitDegradationTest, SimulationReportsFallback) {
   sim.jit_breaker = &breaker;
   const std::vector<e::ExprPtr> benign{e::Constant(0.1), e::Constant(0.0)};
   river::SimulationReport report;
-  const auto with_fallback = river::SimulateBPhy(
-      benign, ZeroParams(), dataset, 0, 10, 5.0, 1.0, sim, true, &report);
+  const auto with_fallback = river::Simulate(benign, ZeroParams(), dataset, 0,
+                                             10, Legacy(), {5.0, 1.0}, sim,
+                                             true, &report).series[0];
   EXPECT_TRUE(report.jit_fallback);
   EXPECT_EQ(report.outcome, EvalOutcome::kJitCompileFailed);
   // The VM fallback is bit-compatible with the plain VM backend.
-  const auto vm = river::SimulateBPhy(benign, ZeroParams(), dataset, 0, 10,
-                                      5.0, 1.0, river::SimulationConfig{},
-                                      true);
+  const auto vm = river::Simulate(benign, ZeroParams(), dataset, 0, 10,
+                                  Legacy(), {5.0, 1.0},
+                                  river::SimulationConfig{}, true).series[0];
   ASSERT_EQ(with_fallback.size(), vm.size());
   for (std::size_t i = 0; i < vm.size(); ++i) {
     EXPECT_EQ(with_fallback[i], vm[i]);

@@ -293,13 +293,17 @@ RiverDataset TinyDataset(std::size_t days) {
   return dataset;
 }
 
+/// The legacy two-species preset the rollouts below integrate.
+ConstituentSet Legacy() { return ConstituentSet::LegacyPlankton(); }
+
 TEST(SimulateTest, ZeroDerivativeKeepsStateConstant) {
   const RiverDataset dataset = TinyDataset(20);
   const std::vector<e::ExprPtr> equations{e::Constant(0.0),
                                           e::Constant(0.0)};
   const std::vector<double> params(kNumParameters, 0.0);
-  const auto predicted = SimulateBPhy(equations, params, dataset, 0, 20,
-                                      5.0, 1.0, SimulationConfig{}, true);
+  const auto predicted = Simulate(equations, params, dataset, 0, 20, Legacy(),
+                                  {5.0, 1.0}, SimulationConfig{},
+                                  true).series[0];
   ASSERT_EQ(predicted.size(), 20u);
   for (double p : predicted) EXPECT_DOUBLE_EQ(p, 5.0);
 }
@@ -312,8 +316,8 @@ TEST(SimulateTest, ConstantGrowthMatchesAnalyticEuler) {
   const std::vector<double> params(kNumParameters, 0.0);
   SimulationConfig config;
   config.substeps = 2;
-  const auto predicted =
-      SimulateBPhy(equations, params, dataset, 0, 10, 5.0, 1.0, config, true);
+  const auto predicted = Simulate(equations, params, dataset, 0, 10, Legacy(),
+                                  {5.0, 1.0}, config, true).series[0];
   for (std::size_t t = 0; t < predicted.size(); ++t) {
     EXPECT_NEAR(predicted[t], 5.0 + static_cast<double>(t + 1), 1e-9);
   }
@@ -326,8 +330,8 @@ TEST(SimulateTest, StateIsClampedOnDivergence) {
       e::Mul(e::Variable(kBPhy, "B"), e::Constant(10.0)), e::Constant(0.0)};
   const std::vector<double> params(kNumParameters, 0.0);
   SimulationConfig config;
-  const auto predicted = SimulateBPhy(equations, params, dataset, 0, 15, 5.0,
-                                      1.0, config, true);
+  const auto predicted = Simulate(equations, params, dataset, 0, 15, Legacy(),
+                                  {5.0, 1.0}, config, true).series[0];
   for (double p : predicted) {
     EXPECT_TRUE(std::isfinite(p));
     EXPECT_LE(p, config.state_max);
@@ -349,10 +353,10 @@ TEST(SimulateTest, Rk4MatchesExponentialDecayClosely) {
   SimulationConfig rk4;
   rk4.method = IntegrationMethod::kRk4;
   rk4.substeps = 1;
-  const auto pe = SimulateBPhy(equations, params, dataset, 0, 30, 5.0, 1.0,
-                               euler, true);
-  const auto pr = SimulateBPhy(equations, params, dataset, 0, 30, 5.0, 1.0,
-                               rk4, true);
+  const auto pe = Simulate(equations, params, dataset, 0, 30, Legacy(),
+                           {5.0, 1.0}, euler, true).series[0];
+  const auto pr = Simulate(equations, params, dataset, 0, 30, Legacy(),
+                           {5.0, 1.0}, rk4, true).series[0];
   double euler_err = 0.0;
   double rk4_err = 0.0;
   for (std::size_t t = 0; t < 30; ++t) {
@@ -374,10 +378,10 @@ TEST(SimulateTest, Rk4AgreesWithEulerOnLinearDynamics) {
   SimulationConfig euler;
   SimulationConfig rk4;
   rk4.method = IntegrationMethod::kRk4;
-  const auto a = SimulateBPhy(equations, params, dataset, 0, 10, 5.0, 1.0,
-                              euler, true);
-  const auto b = SimulateBPhy(equations, params, dataset, 0, 10, 5.0, 1.0,
-                              rk4, true);
+  const auto a = Simulate(equations, params, dataset, 0, 10, Legacy(),
+                          {5.0, 1.0}, euler, true).series[0];
+  const auto b = Simulate(equations, params, dataset, 0, 10, Legacy(),
+                          {5.0, 1.0}, rk4, true).series[0];
   for (std::size_t t = 0; t < 10; ++t) EXPECT_NEAR(a[t], b[t], 1e-12);
 }
 
@@ -385,10 +389,10 @@ TEST(SimulateTest, InterpretedAndCompiledBackendsAgree) {
   const RiverDataset dataset = TinyDataset(30);
   const auto equations = ManualProcess();
   const auto params = gp::PriorMeans(RiverParameterPriors());
-  const auto a = SimulateBPhy(equations, params, dataset, 0, 30, 5.0, 1.0,
-                              SimulationConfig{}, true);
-  const auto b = SimulateBPhy(equations, params, dataset, 0, 30, 5.0, 1.0,
-                              SimulationConfig{}, false);
+  const auto a = Simulate(equations, params, dataset, 0, 30, Legacy(),
+                          {5.0, 1.0}, SimulationConfig{}, true).series[0];
+  const auto b = Simulate(equations, params, dataset, 0, 30, Legacy(),
+                          {5.0, 1.0}, SimulationConfig{}, false).series[0];
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t t = 0; t < a.size(); ++t) EXPECT_DOUBLE_EQ(a[t], b[t]);
 }
@@ -404,9 +408,9 @@ TEST(RiverFitnessTest, RunningRmseMatchesBatchSimulation) {
   }
   EXPECT_EQ(eval->steps_taken(), dataset.train_end);
 
-  const auto predicted =
-      SimulateBPhy(equations, params, dataset, 0, dataset.train_end, 5.0,
-                   1.0, SimulationConfig{}, true);
+  const auto predicted = Simulate(equations, params, dataset, 0,
+                                  dataset.train_end, Legacy(), {5.0, 1.0},
+                                  SimulationConfig{}, true).series[0];
   const std::vector<double> observed(
       dataset.observed_bphy.begin(),
       dataset.observed_bphy.begin() +

@@ -1,27 +1,35 @@
 // Multi-constituent transport tests (ctest labels `transport` + `prop`):
-// the constituent registry's typed validation, the legacy two-species
-// preset's 0-ULP differential oracle against the deprecated B_Phy entry
-// points (interpreter / VM / batch backends), batch-vs-scalar agreement at
-// five species, channel mass conservation under both advection schemes
-// (including watchdog aborts), and a small end-to-end GMR revision of the
-// five-species scenario with a checkpoint/resume round trip.
+// the constituent registry's typed validation, cross-commit golden pins of
+// every rollout entry point (interpreter / VM / batch backends, both
+// integrators, every watchdog, injected NaN derivatives, and the discrete
+// adjoint), the legacy preset's 0-ULP agreement with the recorded output
+// of the deleted B_Phy entry points and between its accuracy overloads,
+// batch-vs-scalar agreement at five species, channel mass
+// conservation under both advection schemes (including watchdog aborts),
+// and a small end-to-end GMR revision of the five-species scenario with a
+// checkpoint/resume round trip.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/checkpoint.h"
 #include "ckpt/snapshot.h"
+#include "common/fault_injection.h"
 #include "core/gmr.h"
 #include "core/transport_grammar.h"
 #include "expr/ast.h"
 #include "expr/print.h"
 #include "gp/parameter_prior.h"
+#include "grad/adjoint.h"
 #include "obs/run_context.h"
 #include "river/biology.h"
 #include "river/chemistry.h"
@@ -163,7 +171,389 @@ TEST(ConstituentSetTest, LegacyPlanktonPinsHistoricalLayout) {
   }
 }
 
+// ------------------------------------------- cross-commit golden pins ----
+//
+// The exact output of every rollout entry point, frozen as one FNV-1a hash
+// per case over the trajectory bits and every SimulationReport field (for
+// the adjoint: the RMSE, gradient and tape-size fields). The hashes were
+// recorded before the scalar and lane-block integrators were merged into
+// one kernel and pin the legacy preset's 0-ULP contract across that
+// change. On a mismatch the test prints the full table of actual hashes in
+// source form, so a deliberate arithmetic change can re-pin it.
+
+class PinHasher {
+ public:
+  void AddWord(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (word >> (8 * i)) & 0xffu;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void AddDouble(double x) { AddWord(Bits(x)); }
+  void AddSeries(const std::vector<double>& xs) {
+    AddWord(xs.size());
+    for (const double x : xs) AddDouble(x);
+  }
+  void AddReport(const SimulationReport& report) {
+    AddWord(static_cast<std::uint64_t>(report.outcome));
+    AddWord(report.aborted ? 1u : 0u);
+    AddWord(report.jit_fallback ? 1u : 0u);
+    AddWord(report.substeps_used);
+    AddWord(report.days_simulated);
+    AddWord(report.days_before_abort);
+    AddWord(report.nonfinite_derivatives);
+    AddWord(report.clamp_saturations);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+using PinTable = std::vector<std::pair<std::string, std::uint64_t>>;
+
+/// Compares every computed case against the recorded table (no case may be
+/// missing on either side) and prints the actual table on any mismatch.
+void ExpectPins(const PinTable& actual, const PinTable& expected) {
+  const std::map<std::string, std::uint64_t> want(expected.begin(),
+                                                  expected.end());
+  bool ok = actual.size() == want.size();
+  for (const auto& [name, hash] : actual) {
+    const auto it = want.find(name);
+    if (it == want.end() || it->second != hash) {
+      ADD_FAILURE() << "golden pin mismatch: " << name;
+      ok = false;
+    }
+  }
+  EXPECT_EQ(actual.size(), want.size());
+  if (ok) return;
+  std::string table;
+  char line[128];
+  for (const auto& [name, hash] : actual) {
+    std::snprintf(line, sizeof(line), "      {\"%s\", 0x%016llxull},\n",
+                  name.c_str(), static_cast<unsigned long long>(hash));
+    table += line;
+  }
+  ADD_FAILURE() << "actual pins:\n" << table;
+}
+
+/// One rollout problem of the pin matrix: eight parameter lanes (lane 0
+/// drives the scalar cases; the batched cases take the first 1, 3 or 8).
+struct PinProblem {
+  const RiverDataset* dataset = nullptr;
+  ConstituentSet constituents;
+  std::vector<double> initial;
+  std::vector<e::ExprPtr> equations;
+  std::vector<std::vector<double>> lanes;
+  SimulationConfig config;
+};
+
+std::vector<std::vector<double>> ScaledLanes(const std::vector<double>& base) {
+  const double factors[8] = {1.0, 1.1, 0.9, 1.05, 0.95, 1.2, 0.8, 1.15};
+  std::vector<std::vector<double>> lanes;
+  for (const double f : factors) {
+    lanes.push_back(base);
+    for (double& p : lanes.back()) p *= f;
+  }
+  return lanes;
+}
+
+/// Lanes for the watchdog candidates, which read parameter slot 0 only.
+/// Zero lanes stay healthy while their neighbors trip the watchdog.
+std::vector<std::vector<double>> CandidateLanes() {
+  const double p0[8] = {1.0, 0.0, 1.1, 0.9, 0.5, 1.25, 0.0, 2.0};
+  std::vector<std::vector<double>> lanes;
+  for (const double p : p0) {
+    lanes.emplace_back(static_cast<std::size_t>(kNumParameters), 0.0);
+    lanes.back()[0] = p;
+  }
+  return lanes;
+}
+
+PinProblem LegacyManualProblem(const RiverDataset& dataset) {
+  PinProblem p;
+  p.dataset = &dataset;
+  p.constituents = ConstituentSet::LegacyPlankton(
+      dataset.initial_bphy, dataset.initial_bzoo, dataset.test_initial_bphy,
+      dataset.test_initial_bzoo);
+  p.initial = {dataset.initial_bphy, dataset.initial_bzoo};
+  p.equations = ManualProcess();
+  p.lanes = ScaledLanes(gp::PriorMeans(RiverParameterPriors()));
+  return p;
+}
+
+/// The backends of the pin matrix: the three scalar evaluators, then
+/// BatchSimulate at lane widths 1, 3 and 8 (batch_width 0 = Simulate).
+struct PinBackend {
+  const char* name;
+  bool compiled;
+  CompiledBackend backend;
+  std::size_t batch_width;
+};
+const PinBackend kPinBackends[] = {
+    {"interp", false, CompiledBackend::kBytecodeVm, 0},
+    {"vm", true, CompiledBackend::kBytecodeVm, 0},
+    {"batchvm1", true, CompiledBackend::kBatchVm, 0},
+    {"batch1", true, CompiledBackend::kBatchVm, 1},
+    {"batch3", true, CompiledBackend::kBatchVm, 3},
+    {"batch8", true, CompiledBackend::kBatchVm, 8},
+};
+
+std::uint64_t RunPinCase(const PinProblem& p, const PinBackend& backend) {
+  PinHasher hash;
+  SimulationConfig config = p.config;
+  config.compiled_backend = backend.backend;
+  if (backend.batch_width == 0) {
+    SimulationReport report;
+    const SimulationTrajectory trajectory =
+        Simulate(p.equations, p.lanes[0], *p.dataset, 0, p.dataset->train_end,
+                 p.constituents, p.initial, config, backend.compiled, &report);
+    for (const auto& series : trajectory.series) hash.AddSeries(series);
+    hash.AddReport(report);
+    return hash.value();
+  }
+  const std::vector<std::vector<double>> lanes(
+      p.lanes.begin(), p.lanes.begin() + backend.batch_width);
+  const BatchSimulationResult result =
+      BatchSimulate(p.equations, lanes, *p.dataset, 0, p.dataset->train_end,
+                    p.constituents, p.initial, config);
+  hash.AddWord(result.width);
+  hash.AddWord(result.num_species);
+  for (std::size_t l = 0; l < result.width; ++l) {
+    hash.AddSeries(result.predicted[l]);
+    hash.AddReport(result.reports[l]);
+  }
+  return hash.value();
+}
+
+/// Runs `p` under both integration methods and every backend, optionally
+/// with a fault spec armed afresh (counters reset) for each rollout.
+void AddPinCases(const std::string& prefix, PinProblem p,
+                 const std::string& fault, PinTable* table) {
+  for (const IntegrationMethod method :
+       {IntegrationMethod::kEuler, IntegrationMethod::kRk4}) {
+    p.config.method = method;
+    const std::string name =
+        prefix + (method == IntegrationMethod::kEuler ? "/euler/" : "/rk4/");
+    for (const PinBackend& backend : kPinBackends) {
+      if (!fault.empty()) {
+        std::string error;
+        ASSERT_TRUE(SetFaultSpec(fault, &error)) << error;
+      }
+      table->emplace_back(name + backend.name, RunPinCase(p, backend));
+      ClearFaults();
+    }
+  }
+}
+
+// Recorded hashes: "<preset>/<candidate>[/<fault>]/<method>/<backend>".
+const PinTable kSimulatePins = {
+  {"plankton2/manual/euler/interp", 0x2b52888c5d5f12f8ull},
+  {"plankton2/manual/euler/vm", 0x2b52888c5d5f12f8ull},
+  {"plankton2/manual/euler/batchvm1", 0x2b52888c5d5f12f8ull},
+  {"plankton2/manual/euler/batch1", 0x1149c85379b5af79ull},
+  {"plankton2/manual/euler/batch3", 0x1a287dd880558a13ull},
+  {"plankton2/manual/euler/batch8", 0x790b472ea65e376aull},
+  {"plankton2/manual/rk4/interp", 0xd0fc8295ca3b8faaull},
+  {"plankton2/manual/rk4/vm", 0xd0fc8295ca3b8faaull},
+  {"plankton2/manual/rk4/batchvm1", 0xd0fc8295ca3b8faaull},
+  {"plankton2/manual/rk4/batch1", 0x7f066d4493c23cb1ull},
+  {"plankton2/manual/rk4/batch3", 0x7097e5ad348a7eeeull},
+  {"plankton2/manual/rk4/batch8", 0xf8bc577761dc34ccull},
+  {"transport5/process/euler/interp", 0x04cc93772137c28aull},
+  {"transport5/process/euler/vm", 0x04cc93772137c28aull},
+  {"transport5/process/euler/batchvm1", 0x04cc93772137c28aull},
+  {"transport5/process/euler/batch1", 0xde24d58405ddafd7ull},
+  {"transport5/process/euler/batch3", 0xbbaf9bff6cec0c63ull},
+  {"transport5/process/euler/batch8", 0x767bc4c741867a31ull},
+  {"transport5/process/rk4/interp", 0x1251ec55f4f7f08eull},
+  {"transport5/process/rk4/vm", 0x1251ec55f4f7f08eull},
+  {"transport5/process/rk4/batchvm1", 0x1251ec55f4f7f08eull},
+  {"transport5/process/rk4/batch1", 0x20284a4f176f25f1ull},
+  {"transport5/process/rk4/batch3", 0x31d3c61b4e6abfbfull},
+  {"transport5/process/rk4/batch8", 0xe239d4758bd92171ull},
+  {"plankton2/nonfinite/euler/interp", 0x2cd3a9c0e6540c42ull},
+  {"plankton2/nonfinite/euler/vm", 0x2cd3a9c0e6540c42ull},
+  {"plankton2/nonfinite/euler/batchvm1", 0x2cd3a9c0e6540c42ull},
+  {"plankton2/nonfinite/euler/batch1", 0x5d706529dc62ff6aull},
+  {"plankton2/nonfinite/euler/batch3", 0xb9a534cee1b522f3ull},
+  {"plankton2/nonfinite/euler/batch8", 0x76d05257a6564563ull},
+  {"plankton2/nonfinite/rk4/interp", 0x273c33ac58c9be0eull},
+  {"plankton2/nonfinite/rk4/vm", 0x273c33ac58c9be0eull},
+  {"plankton2/nonfinite/rk4/batchvm1", 0x273c33ac58c9be0eull},
+  {"plankton2/nonfinite/rk4/batch1", 0x1464cf0c546506adull},
+  {"plankton2/nonfinite/rk4/batch3", 0x066cd87d570fdad7ull},
+  {"plankton2/nonfinite/rk4/batch8", 0x52afa530075def4bull},
+  {"plankton2/saturate/euler/interp", 0xc3fd1cfe07c9c546ull},
+  {"plankton2/saturate/euler/vm", 0xc3fd1cfe07c9c546ull},
+  {"plankton2/saturate/euler/batchvm1", 0xc3fd1cfe07c9c546ull},
+  {"plankton2/saturate/euler/batch1", 0xb56ea8b429458fceull},
+  {"plankton2/saturate/euler/batch3", 0xa01146283b7ca64bull},
+  {"plankton2/saturate/euler/batch8", 0x53002fbf568aad63ull},
+  {"plankton2/saturate/rk4/interp", 0xc3fd1cfe07c9c546ull},
+  {"plankton2/saturate/rk4/vm", 0xc3fd1cfe07c9c546ull},
+  {"plankton2/saturate/rk4/batchvm1", 0xc3fd1cfe07c9c546ull},
+  {"plankton2/saturate/rk4/batch1", 0xb56ea8b429458fceull},
+  {"plankton2/saturate/rk4/batch3", 0xa01146283b7ca64bull},
+  {"plankton2/saturate/rk4/batch8", 0x53002fbf568aad63ull},
+  {"plankton2/budget/euler/interp", 0x20d377f16832cee5ull},
+  {"plankton2/budget/euler/vm", 0x20d377f16832cee5ull},
+  {"plankton2/budget/euler/batchvm1", 0x20d377f16832cee5ull},
+  {"plankton2/budget/euler/batch1", 0x520e85564d14af40ull},
+  {"plankton2/budget/euler/batch3", 0x2d003209a4fc6e90ull},
+  {"plankton2/budget/euler/batch8", 0x8efe30145f41362dull},
+  {"plankton2/budget/rk4/interp", 0x93cfb3ef21fd366bull},
+  {"plankton2/budget/rk4/vm", 0x93cfb3ef21fd366bull},
+  {"plankton2/budget/rk4/batchvm1", 0x93cfb3ef21fd366bull},
+  {"plankton2/budget/rk4/batch1", 0xe4e9cd3c1c7b9fdaull},
+  {"plankton2/budget/rk4/batch3", 0x233321916a8fa6cfull},
+  {"plankton2/budget/rk4/batch8", 0x45b5e87e61f39252ull},
+  {"plankton2/manual/nan-first3/euler/interp", 0xd7d4012595cc6c1full},
+  {"plankton2/manual/nan-first3/euler/vm", 0xd7d4012595cc6c1full},
+  {"plankton2/manual/nan-first3/euler/batchvm1", 0xd7d4012595cc6c1full},
+  {"plankton2/manual/nan-first3/euler/batch1", 0x0e4e842215f980a2ull},
+  {"plankton2/manual/nan-first3/euler/batch3", 0x5405a7f06489660dull},
+  {"plankton2/manual/nan-first3/euler/batch8", 0x63a53cc8de1fc4a2ull},
+  {"plankton2/manual/nan-first3/rk4/interp", 0x79466f63bd4367c0ull},
+  {"plankton2/manual/nan-first3/rk4/vm", 0x79466f63bd4367c0ull},
+  {"plankton2/manual/nan-first3/rk4/batchvm1", 0x79466f63bd4367c0ull},
+  {"plankton2/manual/nan-first3/rk4/batch1", 0x3aaf4c42a562522bull},
+  {"plankton2/manual/nan-first3/rk4/batch3", 0x2146016ced200b62ull},
+  {"plankton2/manual/nan-first3/rk4/batch8", 0x707e2327e1940548ull},
+  {"plankton2/manual/nan-after5/euler/interp", 0xb0114eff5f1f62e6ull},
+  {"plankton2/manual/nan-after5/euler/vm", 0xb0114eff5f1f62e6ull},
+  {"plankton2/manual/nan-after5/euler/batchvm1", 0xb0114eff5f1f62e6ull},
+  {"plankton2/manual/nan-after5/euler/batch1", 0xc206ee228959f6a0ull},
+  {"plankton2/manual/nan-after5/euler/batch3", 0x76489749d4e085d1ull},
+  {"plankton2/manual/nan-after5/euler/batch8", 0x8341a09c1a9cf229ull},
+  {"plankton2/manual/nan-after5/rk4/interp", 0xdfb37401473f1fbaull},
+  {"plankton2/manual/nan-after5/rk4/vm", 0xdfb37401473f1fbaull},
+  {"plankton2/manual/nan-after5/rk4/batchvm1", 0xdfb37401473f1fbaull},
+  {"plankton2/manual/nan-after5/rk4/batch1", 0xfd88708dbc803cd9ull},
+  {"plankton2/manual/nan-after5/rk4/batch3", 0x819741de1ef27b2bull},
+  {"plankton2/manual/nan-after5/rk4/batch8", 0x652c7b642aab7a2full},
+};
+
+TEST(GoldenPinTest, SimulateAndBatchSimulateAcrossBackends) {
+  const RiverDataset dataset = SmallDataset();
+  const TransportScenario scenario = SmallScenario(5);
+  PinTable actual;
+
+  AddPinCases("plankton2/manual", LegacyManualProblem(dataset), "", &actual);
+
+  PinProblem transport;
+  transport.dataset = &scenario.dataset;
+  transport.constituents = scenario.constituents;
+  transport.initial = scenario.constituents.InitialStates();
+  transport.equations = TransportProcess(scenario.constituents);
+  transport.lanes = ScaledLanes(scenario.true_parameters);
+  transport.config.num_species = 5;
+  AddPinCases("transport5/process", transport, "", &actual);
+
+  // One candidate per watchdog: an overflowing derivative, a finite but
+  // explosive growth pinned at the ceiling, and a mid-day substep budget.
+  const e::ExprPtr b = e::Variable(kBPhy, "B_Phy");
+  const e::ExprPtr p0 = e::Parameter(0, "p0");
+  PinProblem nonfinite = LegacyManualProblem(dataset);
+  nonfinite.equations = {e::Mul(e::Mul(p0, e::Constant(1e308)), b),
+                         e::Constant(0.0)};
+  nonfinite.lanes = CandidateLanes();
+  AddPinCases("plankton2/nonfinite", nonfinite, "", &actual);
+  PinProblem saturate = nonfinite;
+  saturate.equations = {e::Mul(e::Mul(p0, e::Constant(1e6)), b),
+                        e::Constant(0.0)};
+  AddPinCases("plankton2/saturate", saturate, "", &actual);
+  PinProblem budget = LegacyManualProblem(dataset);
+  budget.config.substep_budget = 101;
+  AddPinCases("plankton2/budget", budget, "", &actual);
+
+  // derivative_nan counts Derivatives calls, so these pin where every
+  // backend stops evaluating stages, not just what it computes.
+  AddPinCases("plankton2/manual/nan-first3", LegacyManualProblem(dataset),
+              "derivative_nan:first:3", &actual);
+  AddPinCases("plankton2/manual/nan-after5", LegacyManualProblem(dataset),
+              "derivative_nan:after:5", &actual);
+
+  ExpectPins(actual, kSimulatePins);
+}
+
+// Recorded hashes: "<candidate>/<method>/<pruning>".
+const PinTable kGradientPins = {
+  {"manual/euler/unpruned", 0xbd2591b20e51a719ull},
+  {"manual/euler/pruned", 0x0344e77bccb5ea53ull},
+  {"manual/rk4/unpruned", 0xa9264baed971a5d3ull},
+  {"manual/rk4/pruned", 0x6306f5e51b0d6299ull},
+  {"saturate/euler/unpruned", 0xb025521e1d206e62ull},
+  {"saturate/euler/pruned", 0xcf201927280fb883ull},
+  {"saturate/rk4/unpruned", 0xb902835cc93c6709ull},
+  {"saturate/rk4/pruned", 0x9a07bc53be4d1ce8ull},
+};
+
+TEST(GoldenPinTest, RmseGradientValueAndGradientBits) {
+  const RiverDataset dataset = SmallDataset();
+  const ConstituentSet legacy = ConstituentSet::LegacyPlankton();
+  const std::vector<double> initial = {dataset.initial_bphy,
+                                       dataset.initial_bzoo};
+  struct Candidate {
+    const char* name;
+    std::vector<e::ExprPtr> equations;
+    std::vector<double> parameters;
+    std::size_t days;
+    int max_saturated_substeps;
+    bool aborts;
+  };
+  // The clean candidate is the expert process; the aborted one grows
+  // exponentially into the ceiling, so the reverse sweep covers the good
+  // days, a pinned commit, and the penalty tail.
+  const Candidate candidates[] = {
+      {"manual", ManualProcess(), gp::PriorMeans(RiverParameterPriors()), 60,
+       64, false},
+      {"saturate",
+       {e::Mul(e::Mul(e::Parameter(0, "p0"), e::Variable(kBPhy, "B_Phy")),
+               e::Variable(kVlgt, "V_lgt")),
+        e::Mul(e::Parameter(1, "p1"), e::Variable(kBZoo, "B_Zoo"))},
+       {3.0, 0.1},
+       30,
+       4,
+       true},
+  };
+  PinTable actual;
+  for (const Candidate& c : candidates) {
+    for (const IntegrationMethod method :
+         {IntegrationMethod::kEuler, IntegrationMethod::kRk4}) {
+      for (const bool prune : {false, true}) {
+        SimulationConfig config;
+        config.method = method;
+        config.max_saturated_substeps = c.max_saturated_substeps;
+        const grad::GradientResult result =
+            grad::RmseGradient(c.equations, c.parameters, dataset, 0, c.days,
+                               legacy, initial, config, prune);
+        EXPECT_EQ(result.report.aborted, c.aborts) << c.name;
+        PinHasher hash;
+        hash.AddDouble(result.rmse);
+        hash.AddSeries(result.gradient);
+        hash.AddWord(result.gradient_valid ? 1u : 0u);
+        hash.AddReport(result.report);
+        hash.AddWord(result.tape_nodes);
+        hash.AddWord(result.pruned_nodes);
+        actual.emplace_back(
+            std::string(c.name) +
+                (method == IntegrationMethod::kEuler ? "/euler" : "/rk4") +
+                (prune ? "/pruned" : "/unpruned"),
+            hash.value());
+      }
+    }
+  }
+  ExpectPins(actual, kGradientPins);
+}
+
 // ----------------------------------- legacy 0-ULP differential oracle ----
+//
+// The deleted scalar and batch B_Phy forwarders were the two-species entry
+// points that predate ConstituentSet. Their output on the cases below (the
+// B_Phy series or batch result, plus every report field) was recorded as
+// one FNV-1a hash per case at the last commit that still had them; the
+// generic calls with the legacy preset must keep reproducing those bits.
 
 TEST(LegacyPresetTest, SimulateMatchesDeprecatedBPhyEntryPoint) {
   const RiverDataset dataset = SmallDataset();
@@ -174,6 +564,15 @@ TEST(LegacyPresetTest, SimulateMatchesDeprecatedBPhyEntryPoint) {
       dataset.test_initial_bzoo);
   const std::vector<double> initial = {dataset.initial_bphy,
                                        dataset.initial_bzoo};
+  // Recorded from the scalar forwarder: "<method>/<backend>".
+  const PinTable deprecated = {
+      {"euler/interpreter", 0xb16e6315dfed7bf6ull},
+      {"euler/bytecode-vm", 0xb16e6315dfed7bf6ull},
+      {"euler/batch-vm", 0xb16e6315dfed7bf6ull},
+      {"rk4/interpreter", 0xeedbc05aa9c78a7eull},
+      {"rk4/bytecode-vm", 0xeedbc05aa9c78a7eull},
+      {"rk4/batch-vm", 0xeedbc05aa9c78a7eull},
+  };
 
   struct Backend {
     const char* name;
@@ -185,18 +584,28 @@ TEST(LegacyPresetTest, SimulateMatchesDeprecatedBPhyEntryPoint) {
       {"bytecode-vm", true, CompiledBackend::kBytecodeVm},
       {"batch-vm", true, CompiledBackend::kBatchVm},
   };
-  for (const Backend& b : backends) {
-    SimulationConfig config;
-    config.compiled_backend = b.backend;
-    const std::vector<double> deprecated = SimulateBPhy(
-        equations, parameters, dataset, 0, dataset.train_end,
-        dataset.initial_bphy, dataset.initial_bzoo, config, b.compiled);
-    const SimulationTrajectory generic =
-        Simulate(equations, parameters, dataset, 0, dataset.train_end, legacy,
-                 initial, config, b.compiled);
-    ASSERT_EQ(generic.series.size(), 2u);
-    ExpectBitIdentical(deprecated, generic.series[0], b.name);
+  PinTable actual;
+  for (const IntegrationMethod method :
+       {IntegrationMethod::kEuler, IntegrationMethod::kRk4}) {
+    for (const Backend& b : backends) {
+      SimulationConfig config;
+      config.method = method;
+      config.compiled_backend = b.backend;
+      SimulationReport report;
+      const SimulationTrajectory generic =
+          Simulate(equations, parameters, dataset, 0, dataset.train_end,
+                   legacy, initial, config, b.compiled, &report);
+      ASSERT_EQ(generic.series.size(), 2u);
+      PinHasher hash;
+      hash.AddSeries(generic.series[0]);
+      hash.AddReport(report);
+      actual.emplace_back(
+          std::string(method == IntegrationMethod::kEuler ? "euler/" : "rk4/") +
+              b.name,
+          hash.value());
+    }
   }
+  ExpectPins(actual, deprecated);
 }
 
 TEST(LegacyPresetTest, BatchSimulateMatchesDeprecatedBPhyEntryPoint) {
@@ -204,27 +613,41 @@ TEST(LegacyPresetTest, BatchSimulateMatchesDeprecatedBPhyEntryPoint) {
   const auto equations = ManualProcess();
   const auto means = gp::PriorMeans(RiverParameterPriors());
   std::vector<std::vector<double>> lanes = {means, means, means};
-  for (std::size_t i = 0; i < lanes[1].size(); ++i) lanes[1][i] *= 1.1;
-  for (std::size_t i = 0; i < lanes[2].size(); ++i) lanes[2][i] *= 0.9;
-
+  for (double& p : lanes[1]) p *= 1.1;
+  for (double& p : lanes[2]) p *= 0.9;
   const ConstituentSet legacy = ConstituentSet::LegacyPlankton(
       dataset.initial_bphy, dataset.initial_bzoo, dataset.test_initial_bphy,
       dataset.test_initial_bzoo);
-  SimulationConfig config;
-  config.compiled_backend = CompiledBackend::kBatchVm;
-  const BatchSimulationResult deprecated =
-      BatchSimulateBPhy(equations, lanes, dataset, 0, dataset.train_end,
-                        dataset.initial_bphy, dataset.initial_bzoo, config);
-  const BatchSimulationResult generic = BatchSimulate(
-      equations, lanes, dataset, 0, dataset.train_end, legacy,
-      {dataset.initial_bphy, dataset.initial_bzoo}, config);
-  EXPECT_EQ(deprecated.num_species, 2u);
-  EXPECT_EQ(generic.num_species, 2u);
-  ASSERT_EQ(deprecated.predicted.size(), generic.predicted.size());
-  for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-    ExpectBitIdentical(deprecated.predicted[lane], generic.predicted[lane],
-                       "batch lane");
+  // Recorded from the batch forwarder: "<method>/batch-vm<width>".
+  const PinTable deprecated = {
+      {"euler/batch-vm3", 0x1a287dd880558a13ull},
+      {"rk4/batch-vm3", 0x7097e5ad348a7eeeull},
+  };
+
+  PinTable actual;
+  for (const IntegrationMethod method :
+       {IntegrationMethod::kEuler, IntegrationMethod::kRk4}) {
+    SimulationConfig config;
+    config.method = method;
+    config.compiled_backend = CompiledBackend::kBatchVm;
+    const BatchSimulationResult generic = BatchSimulate(
+        equations, lanes, dataset, 0, dataset.train_end, legacy,
+        {dataset.initial_bphy, dataset.initial_bzoo}, config);
+    EXPECT_EQ(generic.num_species, 2u);
+    ASSERT_EQ(generic.predicted.size(), lanes.size());
+    PinHasher hash;
+    hash.AddWord(generic.width);
+    hash.AddWord(generic.num_species);
+    for (std::size_t l = 0; l < generic.width; ++l) {
+      hash.AddSeries(generic.predicted[l]);
+      hash.AddReport(generic.reports[l]);
+    }
+    actual.emplace_back(
+        method == IntegrationMethod::kEuler ? "euler/batch-vm3"
+                                            : "rk4/batch-vm3",
+        hash.value());
   }
+  ExpectPins(actual, deprecated);
 }
 
 TEST(LegacyPresetTest, AccuracyOverloadsAgreeBitwise) {
