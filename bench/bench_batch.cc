@@ -166,10 +166,10 @@ int main(int argc, char** argv) {
 
   // ---------------------------------------------------- lane-width sweep
   // Rollout throughput (lane-days/sec) of BatchSimulate at widths
-  // 1/4/8/16 on the synthetic dataset. The batch VM needs no compiler, so
-  // this half always runs; width 1 is the scalar baseline (SoA == AoS at
-  // stride 1). On the 1-CPU container the gain is pure locality/dispatch
-  // amortization — one bytecode walk per lane block instead of per lane.
+  // 1/4/8/16 on the synthetic dataset. The system program needs no
+  // compiler, so this half always runs; width 1 is the scalar baseline
+  // (SoA == AoS at stride 1). The gain is pure locality/dispatch
+  // amortization — one program run per lane block instead of per lane.
   const river::RiverDataset dataset = bench::MakeDataset(scale);
   const std::size_t days = dataset.train_end;
   const auto equations = MakeGeneration(1, 1)[0];
@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
   sim_config.compiled_backend = CompiledBackend::kBatchVm;
 
   std::printf("[bench_batch] SoA rollout throughput by lane width\n");
-  std::printf("%zu training days, batch VM backend\n\n", days);
+  std::printf("%zu training days, system program backend\n\n", days);
   std::printf("%-12s %16s %14s\n", "batch_width", "lane-days/sec",
               "vs width 1");
 

@@ -97,6 +97,44 @@ void BM_EvalJit(benchmark::State& state) {
 }
 BENCHMARK(BM_EvalJit);
 
+// The compiled system program as a rollout runs it: one RunDay, then
+// range(1) RunStage calls (the Derivatives calls of one day: Euler at 2
+// substeps makes 2, RK4 makes 8) over a block of range(0) lanes, for the
+// expert two-equation process. Time is per day.
+void BM_EvalSystem(benchmark::State& state) {
+  const auto width = static_cast<std::size_t>(state.range(0));
+  const auto calls = state.range(1);
+  const auto equations = river::ManualProcess();
+  std::vector<const expr::Expr*> roots;
+  for (const auto& eq : equations) roots.push_back(eq.get());
+  const expr::SystemProgram program =
+      expr::CompileSystem(roots, equations.size());
+  const auto params = gp::PriorMeans(river::RiverParameterPriors());
+  const auto vars = BenchVariables();
+  std::vector<double> lane_vars(vars.size() * width);
+  std::vector<double> lane_params(params.size() * width);
+  for (std::size_t l = 0; l < width; ++l) {
+    for (std::size_t s = 0; s < vars.size(); ++s) {
+      lane_vars[s * width + l] = vars[s];
+    }
+    for (std::size_t s = 0; s < params.size(); ++s) {
+      lane_params[s * width + l] = params[s];
+    }
+  }
+  const expr::BatchEvalContext ctx{lane_vars.data(), vars.size(),
+                                   lane_params.data(), params.size(), width};
+  std::vector<double> out(equations.size() * width);
+  for (auto _ : state) {
+    program.RunDay(ctx);
+    for (std::int64_t c = 0; c < calls; ++c) {
+      program.RunStage(ctx, out.data());
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_EvalSystem)->ArgsProduct({{1, 8}, {2, 8}});
+
 void BM_Compile(benchmark::State& state) {
   const auto equation = river::PhytoplanktonDerivative();
   for (auto _ : state) {

@@ -1,7 +1,7 @@
 // Walk-through of the three speedup techniques (paper Section III-D):
 //   TC — tree caching with algebraic simplification,
 //   ES — evaluation short-circuiting (Algorithm 1),
-//   RC — runtime compilation (bytecode backend).
+//   RC — runtime compilation (compiled system program backend).
 // Each is demonstrated in isolation with its observable effect printed.
 
 #include <cstdio>

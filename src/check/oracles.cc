@@ -1,6 +1,8 @@
 #include "check/oracles.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "analysis/activity.h"
@@ -139,6 +141,102 @@ analysis::DomainEnv CaseDomains(const ExprCase& c, const OracleContext& ctx) {
   return env;
 }
 
+/// A deep copy of `node` built from fresh nodes: structurally equal to it
+/// and sharing no pointer with it.
+expr::ExprPtr CloneTree(const expr::Expr& node) {
+  switch (node.kind()) {
+    case expr::NodeKind::kConstant:
+      return expr::Constant(node.value());
+    case expr::NodeKind::kParameter:
+      return expr::Parameter(node.slot(), node.name());
+    case expr::NodeKind::kVariable:
+      return expr::Variable(node.slot(), node.name());
+    default:
+      if (node.children().size() == 1) {
+        return expr::MakeUnary(node.kind(), CloneTree(*node.children()[0]));
+      }
+      return expr::MakeBinary(node.kind(), CloneTree(*node.children()[0]),
+                              CloneTree(*node.children()[1]));
+  }
+}
+
+void CollectSubtrees(const expr::ExprPtr& node,
+                     std::vector<expr::ExprPtr>* out) {
+  out->push_back(node);
+  for (const auto& child : node->children()) CollectSubtrees(child, out);
+}
+
+bool ReadsState(const expr::Expr& node, std::size_t num_states) {
+  if (node.kind() == expr::NodeKind::kVariable) {
+    return static_cast<std::size_t>(node.slot()) < num_states;
+  }
+  for (const auto& child : node.children()) {
+    if (ReadsState(*child, num_states)) return true;
+  }
+  return false;
+}
+
+/// The equation system the `system` oracle derives from a case: the case
+/// tree plus one to four of a subtree shared by pointer, signed-zero
+/// products of pointer-distinct copies of one subtree (0.0 * x and
+/// -0.0 * x', which hash-consing must keep apart), a leaf root and a root
+/// that reads no state.
+struct CaseSystem {
+  std::vector<expr::ExprPtr> equations;
+  std::size_t num_states = 0;
+};
+
+CaseSystem MakeCaseSystem(const ExprCase& c, const OracleContext& ctx) {
+  Rng rng(CaseSeed(c.seed, 0x5f57e3ULL));
+  const int num_variables = ctx.config->num_variables;
+  CaseSystem system;
+  system.num_states =
+      static_cast<std::size_t>(rng.UniformInt(0, std::min(4, num_variables)));
+  std::vector<expr::ExprPtr> subtrees;
+  CollectSubtrees(c.tree, &subtrees);
+  std::vector<expr::ExprPtr> extra;
+  extra.push_back(subtrees[rng.PickIndex(subtrees)]);
+  const expr::Expr& twin = *subtrees[rng.PickIndex(subtrees)];
+  extra.push_back(expr::Mul(expr::Constant(0.0), CloneTree(twin)));
+  extra.push_back(expr::Mul(expr::Constant(-0.0), CloneTree(twin)));
+  switch (rng.UniformInt(0, 2)) {
+    case 0:
+      extra.push_back(
+          expr::Variable(rng.UniformInt(0, num_variables - 1), "leaf"));
+      break;
+    case 1:
+      if (!c.parameters.empty()) {
+        extra.push_back(expr::Parameter(
+            rng.UniformInt(0, static_cast<int>(c.parameters.size()) - 1),
+            "leaf"));
+        break;
+      }
+      [[fallthrough]];
+    default:
+      extra.push_back(expr::Constant(rng.Bernoulli(0.5) ? 0.0 : -0.0));
+      break;
+  }
+  expr::ExprPtr state_free = expr::Log(expr::Constant(-0.0));
+  for (const expr::ExprPtr& subtree : subtrees) {
+    if (!ReadsState(*subtree, system.num_states)) {
+      state_free = subtree;
+      break;
+    }
+  }
+  extra.push_back(state_free);
+  rng.Shuffle(extra);
+  const int count = rng.UniformInt(2, 5);
+  system.equations.push_back(c.tree);
+  for (int e = 1; e < count; ++e) system.equations.push_back(extra[e - 1]);
+  return system;
+}
+
+/// Bitwise equality, with any two NaNs agreeing.
+bool SameBits(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
 }  // namespace
 
 OracleResult CheckVmAgrees(const ExprCase& c, const OracleContext& ctx) {
@@ -227,6 +325,89 @@ OracleResult CheckBatchWidthInvariant(const ExprCase& c,
           << lane << " of the width-" << block.width << " run " << full[lane]
           << " on " << expr::ToString(*c.tree) << " (seed " << c.seed << ")";
       return OracleResult::Fail(out.str());
+    }
+  }
+  return OracleResult::Pass();
+}
+
+OracleResult CheckSystemAgrees(const ExprCase& c, const OracleContext& ctx) {
+  const CaseSystem system = MakeCaseSystem(c, ctx);
+  LaneBlock block = MakeLaneBlock(c, ctx);
+  if (block.width == 0) return OracleResult::Pass();
+  std::vector<const expr::Expr*> roots;
+  for (const auto& eq : system.equations) roots.push_back(eq.get());
+  const expr::SystemProgram program =
+      expr::CompileSystem(roots, system.num_states);
+  const std::size_t n = roots.size();
+  const std::size_t width = block.width;
+  const auto fail = [&](const std::string& what) {
+    std::ostringstream out;
+    out << "system of " << n << " equations (" << system.num_states
+        << " state slots) " << what << "; equations:";
+    for (const auto& eq : system.equations) {
+      out << " [" << expr::ToString(*eq) << "]";
+    }
+    out << " (seed " << c.seed << ")";
+    return OracleResult::Fail(out.str());
+  };
+  // Every output against the interpreter on the block's current contexts.
+  const auto check = [&](const char* phase, const std::vector<double>& got) {
+    for (std::size_t lane = 0; lane < width; ++lane) {
+      const auto ec =
+          MakeEvalContext(block.lane_vars[lane], block.lane_params[lane]);
+      for (std::size_t e = 0; e < n; ++e) {
+        const double want = expr::EvalExpr(*system.equations[e], ec);
+        if (!SameBits(got[e * width + lane], want)) {
+          std::ostringstream out;
+          out.precision(17);
+          out << phase << ": equation " << e << " lane " << lane << " got "
+              << got[e * width + lane] << ", interpreter " << want;
+          return out.str();
+        }
+      }
+    }
+    return std::string();
+  };
+  // Moves variable slots [first, last) of every lane to the next lane's
+  // values plus 0.25, so a stale tier shows.
+  const auto shift = [&](std::size_t first, std::size_t last) {
+    const LaneBlock before = block;
+    for (std::size_t lane = 0; lane < width; ++lane) {
+      for (std::size_t s = first; s < last; ++s) {
+        const double v = before.lane_vars[(lane + 1) % width][s] + 0.25;
+        block.lane_vars[lane][s] = v;
+        block.vars[s * width + lane] = v;
+      }
+    }
+  };
+  std::vector<double> full(n * width, 0.0);
+  program.Run(block.Context(), full.data());
+  std::string error = check("both tiers", full);
+  if (!error.empty()) return fail(error);
+  // New states, same day: the stage tier alone must see them.
+  shift(0, std::min(system.num_states, block.num_variables));
+  program.RunStage(block.Context(), full.data());
+  error = check("stage tier after a state change", full);
+  if (!error.empty()) return fail(error);
+  // New drivers: the next day's RunDay must refresh the day tier.
+  shift(std::min(system.num_states, block.num_variables), block.num_variables);
+  program.RunDay(block.Context());
+  program.RunStage(block.Context(), full.data());
+  error = check("day tier after a driver change", full);
+  if (!error.empty()) return fail(error);
+  // Lane at a time through the same program (its frame resizes).
+  std::vector<double> narrow(n, 0.0);
+  for (std::size_t lane = 0; lane < width; ++lane) {
+    program.Run(block.LaneContext(lane), narrow.data());
+    for (std::size_t e = 0; e < n; ++e) {
+      if (!SameBits(narrow[e], full[e * width + lane])) {
+        std::ostringstream out;
+        out.precision(17);
+        out << "width-1 run of lane " << lane << " gives " << narrow[e]
+            << " for equation " << e << " but the width-" << width
+            << " run gives " << full[e * width + lane];
+        return fail(out.str());
+      }
     }
   }
   return OracleResult::Pass();
@@ -588,6 +769,7 @@ constexpr NamedOracle kExprOracles[] = {
     {"activity", CheckActivitySound},
     {"batch_vm", CheckBatchVmAgrees},
     {"batch_width", CheckBatchWidthInvariant},
+    {"system", CheckSystemAgrees},
     {"batch_jit", CheckBatchJitAgrees},
     {"gradcheck", CheckGradcheck},
 };

@@ -52,8 +52,9 @@ struct OracleResult {
   }
 };
 
-/// Bytecode VM vs tree interpreter: bitwise agreement (0 ULP; both-NaN
-/// counts as agreement) on every sampled context.
+/// Compiled program (the one-equation entry point of expr::SystemProgram)
+/// vs tree interpreter: bitwise agreement (0 ULP; both-NaN counts as
+/// agreement) on every sampled context.
 OracleResult CheckVmAgrees(const ExprCase& c, const OracleContext& ctx);
 
 /// Simplify-then-VM vs tree interpreter. Compared bitwise when both sides
@@ -68,18 +69,30 @@ OracleResult CheckSimplifiedVmAgrees(const ExprCase& c,
 /// oracle failure (the generator only emits well-formed trees).
 OracleResult CheckJitAgrees(const ExprCase& c, const OracleContext& ctx);
 
-/// Batched VM vs tree interpreter, lane by lane: a full-width RunLanes call
-/// over a SoA lane block (lane l = sampled variable context l paired with
-/// an independently sampled parameter vector; lane 0 keeps the case's own
-/// parameters) must agree bitwise (0 ULP) with the interpreter on every
-/// lane. Divergence in one lane (NaN/Inf) must not perturb its neighbors.
+/// System program vs tree interpreter, lane by lane: a full-width run of
+/// the one-equation entry point (BatchProgram::RunLanes) over a SoA lane
+/// block (lane l = sampled variable context l paired with an independently
+/// sampled parameter vector; lane 0 keeps the case's own parameters) must
+/// agree bitwise (0 ULP) with the interpreter on every lane. Divergence in
+/// one lane (NaN/Inf) must not perturb its neighbors.
 OracleResult CheckBatchVmAgrees(const ExprCase& c, const OracleContext& ctx);
 
-/// Batch-width invariance of the batched VM: evaluating the same lane
+/// Batch-width invariance of the system program: evaluating the same lane
 /// block at full width and lane-at-a-time (width 1) must produce bitwise
 /// identical results — lanes are independent elementwise IEEE streams.
 OracleResult CheckBatchWidthInvariant(const ExprCase& c,
                                       const OracleContext& ctx);
+
+/// Whole-system compile (expr::CompileSystem) vs tree interpreter: the
+/// case tree plus up to four derived roots (a pointer-shared subtree,
+/// 0.0 * x and -0.0 * x' over pointer-distinct copies of one subtree, a
+/// leaf root and a state-free root) with a case-seeded number of state
+/// slots, over the case's lane block. Every output must equal the
+/// interpreter bitwise on every lane after a full run, after a state
+/// change evaluated by the stage tier alone, and after a driver change
+/// refreshed by RunDay; and lane-at-a-time runs must equal the full-width
+/// run bitwise.
+OracleResult CheckSystemAgrees(const ExprCase& c, const OracleContext& ctx);
 
 /// Generation-batched JIT vs tree interpreter, lane by lane within
 /// ctx.jit_ulps, plus bitwise batch-width invariance of the compiled
@@ -149,7 +162,7 @@ using ExprOracle = OracleResult (*)(const ExprCase&, const OracleContext&);
 
 /// All registered oracle names, in fixed execution order:
 /// vm, simplify, jit, roundtrip, ckpt_roundtrip, interval, gate, activity,
-/// batch_vm, batch_width, batch_jit, gradcheck.
+/// batch_vm, batch_width, system, batch_jit, gradcheck.
 std::vector<std::string> ExprOracleNames();
 
 /// Looks an oracle up by name; nullptr when unknown.

@@ -19,7 +19,8 @@
 /// a whole lane block — returns NaN; counted once per evaluation),
 /// `pool_task` (a ThreadPool task throws std::runtime_error),
 /// `batch_compile` (BatchJitSession::CompileBatch reports a failed
-/// generation TU; every affected equation degrades to the batched VM),
+/// generation TU; every affected equation degrades to the compiled system
+/// program),
 /// `ckpt_write` (snapshot temp-file open/write fails),
 /// `ckpt_fsync` (snapshot fsync fails; the write is treated as not
 /// durable and retried/skipped),

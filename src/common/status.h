@@ -18,8 +18,9 @@ namespace gmr {
 
 /// Why an evaluation produced the fitness it did. kOk and
 /// kJitCompileFailed carry an exact fitness (the JIT failure degrades to
-/// the bytecode VM, which is bit-compatible); every other value means the
-/// fitness is a deterministic penalty, not the true model error.
+/// the compiled system program, which is bit-compatible); every other
+/// value means the fitness is a deterministic penalty, not the true model
+/// error.
 enum class EvalOutcome : std::uint8_t {
   kOk = 0,                ///< Normal evaluation.
   kNonFiniteDerivative,   ///< Watchdog: NaN/Inf derivatives or states.

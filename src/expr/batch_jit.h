@@ -48,8 +48,8 @@ class BatchJitSession {
 
   /// Compiles every root not already cached into ONE translation unit and
   /// returns the per-root entry points in input order. A null entry means
-  /// that root must run on the batched VM instead (compile failure, open
-  /// circuit breaker, no compiler, or `batch_compile` fault injection) —
+  /// that root must run on the system program instead (compile failure,
+  /// open circuit breaker, no compiler, or `batch_compile` fault injection) —
   /// the degradation is per-call-site, so healthy lanes are never
   /// poisoned. Coordinator-only: call from the batch barrier, not from
   /// worker lanes (Lookup is the lane-safe accessor).

@@ -2,64 +2,45 @@
 #define GMR_EXPR_BATCH_VM_H_
 
 #include <cstddef>
-#include <vector>
 
+#include "common/check.h"
 #include "expr/ast.h"
 #include "expr/compile.h"
 
 namespace gmr::expr {
 
-/// Structure-of-arrays evaluation environment for the stride-N backends:
-/// lane `l` of slot `s` lives at index `s * width + l`, so one compiled
-/// equation evaluates a whole lane block per call. Width 1 degenerates to
-/// the scalar EvalContext layout (SoA == AoS at stride 1), which is what
-/// lets the scalar rollout paths reuse the batch kernels unchanged.
-struct BatchEvalContext {
-  /// variables[slot * width + lane].
-  const double* variables = nullptr;
-  std::size_t num_variables = 0;
-  /// parameters[slot * width + lane] — lanes may carry distinct parameter
-  /// vectors (the calibration/ensemble workloads batch over them).
-  const double* parameters = nullptr;
-  std::size_t num_parameters = 0;
-  /// Number of lanes evaluated per call.
-  std::size_t width = 1;
-};
-
-/// Stride-N dispatch loop over the shared expression tape (compile.h).
-///
-/// Each instruction executes as a tight lane loop over `width` independent
-/// doubles — no per-lane branching, no cross-lane dependency — which is the
-/// shape the autovectorizer can chew on. Per lane, the operation order and
-/// the scalar kernels (ApplyUnary/ApplyBinary) are exactly those of
-/// CompiledProgram::Run, so lane `l` of RunLanes is bit-identical to a
-/// scalar Run over lane l's slots for EVERY width: width 1 ≡ width 16
-/// bitwise (the `batch_width` fuzz property pins this).
+/// One-equation lane-block entry point (the oracles and tests): runs both
+/// tiers of a one-root SystemProgram (compile.h) over a whole lane block
+/// per call. Lane `l` is bit-identical to EvalExpr over lane l's slots at
+/// every width, so width 1 ≡ width 16 bitwise (the `batch_width` fuzz
+/// property pins this).
 class BatchProgram {
  public:
   /// Evaluates all lanes; writes out[lane] for lane in [0, ctx.width).
   /// A lane whose inputs already diverged simply produces a non-finite or
   /// wild value — divergence isolation (masking a lane out of further
   /// integration without aborting its neighbors) is the rollout's job, not
-  /// the VM's: lanes cannot contaminate each other by construction.
-  void RunLanes(const BatchEvalContext& ctx, double* out) const;
+  /// the program's: lanes cannot contaminate each other by construction.
+  void RunLanes(const BatchEvalContext& ctx, double* out) const {
+    GMR_CHECK(!program_.empty());
+    program_.Run(ctx, out);
+  }
 
-  std::size_t size() const { return tape_.size(); }
-  bool empty() const { return tape_.empty(); }
+  std::size_t size() const { return program_.size(); }
+  bool empty() const { return program_.empty(); }
 
  private:
   friend BatchProgram CompileBatch(const Expr& root);
 
-  Tape tape_;
-  // Lane-strided operand stack: stack_[depth * width + lane], grown to the
-  // widest call seen. Mutable scratch, so a BatchProgram is not safe to
-  // RunLanes() from two threads concurrently (clone it instead) — the same
-  // contract as CompiledProgram.
-  mutable std::vector<double> stack_;
+  SystemProgram program_;
 };
 
-/// Flattens `root` into a BatchProgram (same postorder tape as Compile).
-BatchProgram CompileBatch(const Expr& root);
+/// Compiles `root` into a one-equation BatchProgram.
+inline BatchProgram CompileBatch(const Expr& root) {
+  BatchProgram program;
+  program.program_ = CompileSystem({&root}, 0);
+  return program;
+}
 
 }  // namespace gmr::expr
 

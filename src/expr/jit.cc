@@ -244,7 +244,7 @@ void JitCircuitBreaker::RecordFailure(const std::string& reason) {
     std::fprintf(stderr,
                  "[gmr] JIT disabled for the rest of this run after %d "
                  "consecutive compile failures (last: %s); falling back to "
-                 "the bytecode VM\n",
+                 "the compiled system program\n",
                  failures, reason.c_str());
   }
 }

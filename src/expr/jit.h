@@ -21,7 +21,7 @@ namespace gmr::expr {
 /// shared object in a temporary directory, and dlopen()s it. Compilation
 /// costs ~100 ms per expression, so this backend pays off only when an
 /// expression is evaluated many thousands of times (long series, many
-/// runs); the in-process bytecode backend (compile.h) is the default RC
+/// runs); the in-process system program (compile.h) is the default RC
 /// implementation inside the GP loop. See DESIGN.md §4.
 class JitProgram {
  public:
@@ -81,8 +81,8 @@ std::string JitScratchStem();
 
 /// Circuit breaker guarding JIT compilation: after `threshold` consecutive
 /// compile failures the breaker opens and JIT stays disabled for the rest
-/// of the run (evaluation degrades to the bytecode VM, which is
-/// bit-compatible). Opening is logged to stderr exactly once.
+/// of the run (evaluation degrades to the compiled system program, which
+/// is bit-compatible). Opening is logged to stderr exactly once.
 ///
 /// Thread-safe: evaluator lanes share one breaker per run. A success
 /// resets the consecutive-failure count, so sporadic failures (a full

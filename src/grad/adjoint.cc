@@ -17,6 +17,16 @@ namespace {
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
+/// The rollout config of the objective and the gradient's forward sweep:
+/// the compiled system program whatever backend `config` names. It is
+/// bit-identical to the tree interpreter (which the gradient tapes replay),
+/// where a JIT backend only promises a few ULPs and would invoke the C
+/// compiler on every objective call.
+river::SimulationConfig ForwardConfig(river::SimulationConfig config) {
+  config.compiled_backend = river::CompiledBackend::kBytecodeVm;
+  return config;
+}
+
 /// The fitness evaluator's RMSE of a rollout: squared errors summed day by
 /// day over the observation bindings in RiverEvaluation's order, so the
 /// value is bit-identical to the evaluator's running RMSE.
@@ -133,13 +143,13 @@ GradientResult RmseGradient(const std::vector<expr::ExprPtr>& equations,
   const std::size_t steps = t_end - t_begin;
   result.gradient.assign(parameters.size(), 0.0);
 
-  // Forward sweep: the ordinary interpreter rollout (bit-identical to the
-  // fitness evaluator's VM path), whose trajectory doubles as the
+  // Forward sweep: the ordinary compiled rollout (bit-identical to the
+  // tree interpreter the tapes replay), whose trajectory doubles as the
   // begin-of-day state checkpoints of the reverse sweep.
   const river::SimulationTrajectory trajectory =
       river::Simulate(equations, parameters, dataset, t_begin, t_end,
-                      constituents, initial_state, config,
-                      /*compiled=*/false, &result.report);
+                      constituents, initial_state, ForwardConfig(config),
+                      /*compiled=*/true, &result.report);
   const std::vector<river::ObservationBinding> bindings =
       river::BindObservations(constituents);
   result.rmse = TrajectoryRmse(trajectory, dataset, t_begin, bindings);
@@ -385,7 +395,7 @@ calibrate::Objective MakeRmseObjective(
     const river::SimulationTrajectory trajectory = river::Simulate(
         problem->equations, x, *problem->dataset, problem->t_begin,
         problem->t_end, problem->constituents, problem->initial_state,
-        problem->config, /*compiled=*/false);
+        ForwardConfig(problem->config), /*compiled=*/true);
     return TrajectoryRmse(trajectory, *problem->dataset, problem->t_begin,
                           river::BindObservations(problem->constituents));
   };

@@ -8,7 +8,6 @@
 
 #include "common/check.h"
 #include "common/fault_injection.h"
-#include "expr/batch_vm.h"
 #include "expr/compile.h"
 #include "expr/eval.h"
 #include "river/variables.h"
@@ -92,67 +91,76 @@ double ClampState(double value, const SimulationConfig& config,
 
 /// The derivative runner of every forward rollout. Evaluates the process
 /// equations through the configured backend: interpreted tree walking,
-/// compiled bytecode, native JIT ("runtime compilation"), or the batched
-/// VM with optional generation-JIT symbols. The scalar evaluators read one
-/// lane in AoS order, which is the SoA layout at width 1, so they serve
-/// width-1 blocks only; the batched backends serve any width.
+/// the compiled system program (expr/compile.h), native JIT ("runtime
+/// compilation"), or generation-JIT symbols. The interpreter and the native
+/// JIT read one lane in AoS order, which is the SoA layout at width 1, so
+/// they serve width-1 blocks only; the other backends serve any width.
 class ProcessRunner final : public DerivativeSource {
  public:
   /// When `compiled` and the config selects kNativeJit, each equation is
   /// JIT-compiled (subject to the circuit breaker); under kBatchJit, the
-  /// session compiles the system's symbols. Equations whose compile fails
-  /// fall back to the bytecode / batched VM, recorded in jit_fallback().
+  /// session compiles the system's symbols. Every equation without a JIT
+  /// entry point runs on one system program, recorded in jit_fallback()
+  /// when a JIT compile was asked for and failed.
   ProcessRunner(const std::vector<expr::ExprPtr>& equations, bool compiled,
                 const SimulationConfig& config)
       : equations_(equations), compiled_(compiled) {
     GMR_CHECK(!equations_.empty());
     if (!compiled_) return;
+    std::vector<const expr::Expr*> roots;
+    roots.reserve(equations_.size());
+    for (const auto& eq : equations_) roots.push_back(eq.get());
     const CompiledBackend backend = config.compiled_backend;
-    if (backend == CompiledBackend::kBatchVm ||
-        backend == CompiledBackend::kBatchJit) {
-      batch_programs_.reserve(equations_.size());
-      for (const auto& eq : equations_) {
-        batch_programs_.push_back(expr::CompileBatch(*eq));
-      }
-      if (backend != CompiledBackend::kBatchJit) return;
+    if (backend == CompiledBackend::kBatchJit) {
       expr::BatchJitSession* session =
           config.batch_jit_session != nullptr
               ? config.batch_jit_session
               : expr::BatchJitSession::Default();
-      std::vector<const expr::Expr*> roots;
-      roots.reserve(equations_.size());
-      for (const auto& eq : equations_) roots.push_back(eq.get());
       // Pure cache hits when the evaluator's PrepareBatch already compiled
       // this generation; a miss compiles a (small) TU for this system.
       batch_fns_ = session->CompileBatch(roots);
-      for (const auto fn : batch_fns_) {
-        if (fn == nullptr) jit_fallback_ = true;
+      for (std::size_t e = 0; e < roots.size(); ++e) {
+        if (batch_fns_[e] == nullptr) {
+          jit_fallback_ = true;
+        } else {
+          roots[e] = nullptr;
+        }
       }
-      return;
+    } else if (backend == CompiledBackend::kNativeJit) {
+      expr::JitCircuitBreaker* breaker =
+          config.jit_breaker != nullptr ? config.jit_breaker
+                                        : expr::JitCircuitBreaker::Default();
+      jit_programs_.resize(equations_.size());
+      for (std::size_t e = 0; e < equations_.size(); ++e) {
+        if (!breaker->allowed()) {
+          jit_fallback_ = true;
+          continue;
+        }
+        std::string error;
+        jit_programs_[e] = expr::JitProgram::Compile(*equations_[e], &error);
+        if (jit_programs_[e] != nullptr) {
+          breaker->RecordSuccess();
+          roots[e] = nullptr;
+        } else {
+          breaker->RecordFailure(error);
+          jit_fallback_ = true;
+        }
+      }
     }
-    // The bytecode programs are also the fallback for any equation whose
-    // JIT compile fails.
-    programs_.reserve(equations_.size());
-    for (const auto& eq : equations_) programs_.push_back(expr::Compile(*eq));
-    if (backend != CompiledBackend::kNativeJit) return;
-    expr::JitCircuitBreaker* breaker = config.jit_breaker != nullptr
-                                           ? config.jit_breaker
-                                           : expr::JitCircuitBreaker::Default();
-    jit_programs_.resize(equations_.size());
-    for (std::size_t i = 0; i < equations_.size(); ++i) {
-      if (!breaker->allowed()) {
-        jit_fallback_ = true;
-        continue;
-      }
-      std::string error;
-      jit_programs_[i] = expr::JitProgram::Compile(*equations_[i], &error);
-      if (jit_programs_[i] != nullptr) {
-        breaker->RecordSuccess();
-      } else {
-        breaker->RecordFailure(error);
-        jit_fallback_ = true;
-      }
+    // One equation per constituent state (ValidateSimulation), so the
+    // state slots are [0, equations.size()).
+    if (std::any_of(roots.begin(), roots.end(),
+                    [](const expr::Expr* root) { return root != nullptr; })) {
+      program_ = expr::CompileSystem(roots, equations_.size());
     }
+  }
+
+  void BeginDay(const double* variables, std::size_t num_variables,
+                const double* parameters, std::size_t num_parameters,
+                std::size_t width) override {
+    if (program_.empty()) return;
+    program_.RunDay(
+        {variables, num_variables, parameters, num_parameters, width});
   }
 
   void Derivatives(const double* variables, std::size_t num_variables,
@@ -164,32 +172,32 @@ class ProcessRunner final : public DerivativeSource {
                   std::numeric_limits<double>::quiet_NaN());
       return;
     }
-    if (!batch_programs_.empty()) {
-      expr::BatchEvalContext ctx;
-      ctx.variables = variables;
-      ctx.num_variables = num_variables;
-      ctx.parameters = parameters;
-      ctx.num_parameters = num_parameters;
-      ctx.width = width;
+    if (!compiled_) {
+      const expr::EvalContext ctx{variables, num_variables, parameters,
+                                  num_parameters};
       for (std::size_t e = 0; e < n; ++e) {
-        double* out = derivatives + e * width;
-        if (!batch_fns_.empty() && batch_fns_[e] != nullptr) {
-          batch_fns_[e](variables, parameters, out, static_cast<long>(width));
-        } else {
-          batch_programs_[e].RunLanes(ctx, out);
-        }
+        derivatives[e] = expr::EvalExpr(*equations_[e], ctx);
       }
       return;
     }
-    const expr::EvalContext ctx{variables, num_variables, parameters,
-                                num_parameters};
-    for (std::size_t e = 0; e < n; ++e) {
-      if (!compiled_) {
-        derivatives[e] = expr::EvalExpr(*equations_[e], ctx);
-      } else if (!jit_programs_.empty() && jit_programs_[e] != nullptr) {
-        derivatives[e] = jit_programs_[e]->Run(ctx);
-      } else {
-        derivatives[e] = programs_[e].Run(ctx);
+    if (!program_.empty()) {
+      program_.RunStage(
+          {variables, num_variables, parameters, num_parameters, width},
+          derivatives);
+    }
+    for (std::size_t e = 0; e < batch_fns_.size(); ++e) {
+      if (batch_fns_[e] != nullptr) {
+        batch_fns_[e](variables, parameters, derivatives + e * width,
+                      static_cast<long>(width));
+      }
+    }
+    if (!jit_programs_.empty()) {
+      const expr::EvalContext ctx{variables, num_variables, parameters,
+                                  num_parameters};
+      for (std::size_t e = 0; e < n; ++e) {
+        if (jit_programs_[e] != nullptr) {
+          derivatives[e] = jit_programs_[e]->Run(ctx);
+        }
       }
     }
   }
@@ -199,14 +207,13 @@ class ProcessRunner final : public DerivativeSource {
  private:
   std::vector<expr::ExprPtr> equations_;
   bool compiled_;
-  std::vector<expr::CompiledProgram> programs_;
-  /// Parallel to equations_ under kNativeJit; a null entry means that
-  /// equation runs on the bytecode program instead.
+  /// Every compiled equation without a JIT entry point; empty when the
+  /// interpreter runs or every equation has one.
+  expr::SystemProgram program_;
+  /// Parallel to equations_ under kNativeJit; null entries run on
+  /// program_.
   std::vector<std::unique_ptr<expr::JitProgram>> jit_programs_;
-  /// Parallel to equations_ under kBatchVm and kBatchJit.
-  std::vector<expr::BatchProgram> batch_programs_;
-  /// Parallel to equations_ under kBatchJit; null entries degrade to
-  /// batch_programs_.
+  /// Parallel to equations_ under kBatchJit; null entries run on program_.
   std::vector<expr::BatchJitSession::BatchFn> batch_fns_;
   bool jit_fallback_ = false;
 };
@@ -262,6 +269,8 @@ bool LaneIntegrator::BeginDay(std::size_t t) {
       drivers[static_cast<std::size_t>(k) * width_ + l] = v;
     }
   }
+  source_->BeginDay(vars_.data(), num_variables_, params_.data(),
+                    num_parameters_, width_);
   return true;
 }
 
@@ -542,8 +551,8 @@ BatchSimulationResult BatchSimulate(
   result.predicted.resize(result.width);
   result.reports.resize(result.width);
   if (result.width == 0) return result;
-  // Lane blocks run on the batched VM, or on generation-JIT symbols when
-  // the config asks for them.
+  // Lane blocks run on the system program, or on generation-JIT symbols
+  // when the config asks for them (the native JIT is scalar only).
   SimulationConfig lane_config = config;
   if (lane_config.compiled_backend != CompiledBackend::kBatchJit) {
     lane_config.compiled_backend = CompiledBackend::kBatchVm;

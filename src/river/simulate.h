@@ -25,18 +25,19 @@ enum class IntegrationMethod {
 /// Which "runtime compilation" backend evaluates candidate equations when
 /// the RC speedup is on.
 enum class CompiledBackend {
-  kBytecodeVm = 0,  ///< In-process bytecode (expr/compile.h); the default.
-  kNativeJit,       ///< cc + dlopen (expr/jit.h); degrades to the VM
-                    ///< per-equation on compile failure, and run-wide once
-                    ///< the circuit breaker opens.
-  kBatchVm,         ///< Stride-N batch VM (expr/batch_vm.h) at width 1 in
-                    ///< scalar rollouts; bit-identical to kBytecodeVm lane
-                    ///< by lane, and the fallback for every batched path.
+  kBytecodeVm = 0,  ///< The compiled system program (expr/compile.h):
+                    ///< one CSE'd register program per candidate, its
+                    ///< state-free tier run once per day; the default.
+  kNativeJit,       ///< cc + dlopen (expr/jit.h); degrades to the system
+                    ///< program per-equation on compile failure, and
+                    ///< run-wide once the circuit breaker opens.
+  kBatchVm,         ///< Selects the same executor as kBytecodeVm.
   kBatchJit,        ///< Generation-batched cc + dlopen (expr/batch_jit.h):
                     ///< one translation unit per compile batch, one symbol
                     ///< per unique equation, structure-hash compile cache.
-                    ///< Degrades per-equation to the batch VM on compile
-                    ///< failure, and run-wide once the breaker opens.
+                    ///< Degrades per-equation to the system program on
+                    ///< compile failure, and run-wide once the breaker
+                    ///< opens.
 };
 
 /// Numerical integration settings for the constituent processes.
@@ -108,8 +109,8 @@ struct SimulationReport {
   EvalOutcome outcome = EvalOutcome::kOk;
   /// True when a watchdog aborted the rollout early.
   bool aborted = false;
-  /// True when at least one equation requested kNativeJit but ran on the
-  /// bytecode VM (compile failure or open circuit breaker).
+  /// True when at least one equation requested a JIT backend but ran on
+  /// the system program (compile failure or open circuit breaker).
   bool jit_fallback = false;
   std::size_t substeps_used = 0;
   std::size_t days_simulated = 0;
@@ -136,7 +137,16 @@ class DerivativeSource {
                            const double* parameters,
                            std::size_t num_parameters, std::size_t width,
                            double* derivatives) = 0;
-  /// True when an equation degraded from a JIT backend to a VM.
+  /// Called once per day after the day's drivers are loaded into
+  /// `variables` (same layout as Derivatives), before that day's first
+  /// Derivatives call. Sources that cache state-free work refresh it here.
+  virtual void BeginDay(const double* /*variables*/,
+                        std::size_t /*num_variables*/,
+                        const double* /*parameters*/,
+                        std::size_t /*num_parameters*/,
+                        std::size_t /*width*/) {}
+  /// True when an equation degraded from a JIT backend to the system
+  /// program.
   virtual bool jit_fallback() const { return false; }
 
  protected:
@@ -285,12 +295,12 @@ struct BatchSimulationResult {
 /// Simulates the constituent processes for `parameter_lanes.size()`
 /// parameter vectors at once in structure-of-arrays layout (lane blocks
 /// span species x lanes): each compiled equation call advances a whole
-/// lane block. Equations are evaluated through the batched VM, or through
-/// generation-JIT symbols when the config selects kBatchJit (degrading
-/// per-equation to the batched VM). Every lane's watchdog semantics match
-/// the scalar rollout exactly: a lane that trips a watchdog is masked out
-/// (its remaining days predict state_max) while the surviving lanes keep
-/// integrating.
+/// lane block. Equations are evaluated through the compiled system
+/// program, or through generation-JIT symbols when the config selects
+/// kBatchJit (degrading per-equation to the system program). Every lane's
+/// watchdog semantics match the scalar rollout exactly: a lane that trips
+/// a watchdog is masked out (its remaining days predict state_max) while
+/// the surviving lanes keep integrating.
 BatchSimulationResult BatchSimulate(
     const std::vector<expr::ExprPtr>& equations,
     const std::vector<std::vector<double>>& parameter_lanes,

@@ -6,7 +6,7 @@
 
 #include "common/check.h"
 #include "common/fault_injection.h"
-#include "expr/batch_vm.h"
+#include "expr/compile.h"
 #include "river/variables.h"
 
 namespace gmr::river {
@@ -119,10 +119,13 @@ ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
   }
 
   // Candidate processes run in every cell at once: cells are the lanes of
-  // the batched expression backend, vars_[slot * width + cell].
-  std::vector<expr::BatchProgram> programs;
-  programs.reserve(equations.size());
-  for (const auto& eq : equations) programs.push_back(expr::CompileBatch(*eq));
+  // one compiled system program, vars[slot * width + cell]; its state-free
+  // tier runs once per day.
+  std::vector<const expr::Expr*> roots;
+  roots.reserve(equations.size());
+  for (const auto& eq : equations) roots.push_back(eq.get());
+  const expr::SystemProgram program =
+      expr::CompileSystem(roots, num_species);
   std::vector<double> params(parameters.size() * width);
   for (std::size_t s = 0; s < parameters.size(); ++s) {
     for (std::size_t l = 0; l < width; ++l) {
@@ -132,6 +135,12 @@ ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
   std::vector<double> vars(num_variables * width, 0.0);
   std::vector<double> reaction(num_species * width, 0.0);
   std::vector<double> flux(static_cast<std::size_t>(n) + 1, 0.0);
+  expr::BatchEvalContext ctx;
+  ctx.variables = vars.data();
+  ctx.num_variables = num_variables;
+  ctx.parameters = params.data();
+  ctx.num_parameters = parameters.size();
+  ctx.width = width;
 
   SimulationReport& report = result.report;
   bool aborted = false;
@@ -154,6 +163,7 @@ ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
       double* row = &vars[(num_species + static_cast<std::size_t>(k)) * width];
       for (std::size_t l = 0; l < width; ++l) row[l] = v;
     }
+    program.RunDay(ctx);
     for (int step = 0; step < config.substeps && !aborted; ++step) {
       if (config.substep_budget > 0 &&
           report.substeps_used >= config.substep_budget) {
@@ -170,15 +180,7 @@ ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
       if (FaultInjected(FaultPoint::kDerivativeNan)) {
         for (double& r : reaction) r = std::numeric_limits<double>::quiet_NaN();
       } else {
-        expr::BatchEvalContext ctx;
-        ctx.variables = vars.data();
-        ctx.num_variables = num_variables;
-        ctx.parameters = params.data();
-        ctx.num_parameters = parameters.size();
-        ctx.width = width;
-        for (std::size_t e = 0; e < programs.size(); ++e) {
-          programs[e].RunLanes(ctx, &reaction[e * width]);
-        }
+        program.RunStage(ctx, reaction.data());
       }
       bool all_finite = true;
       for (const double r : reaction) {
@@ -192,7 +194,10 @@ ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
           abort_with(EvalOutcome::kNonFiniteDerivative);
           break;
         }
-        continue;  // Skip the commit, like the station integrator.
+        // Skip this substep's commit: the cells and budgets keep their
+        // values. (The station integrator differs: it commits the clamped
+        // state of a non-finite stage that does not abort.)
+        continue;
       }
       bool saturated = false;
       for (std::size_t s = 0; s < num_species; ++s) {

@@ -1,7 +1,7 @@
-// Batched-evaluation tests: the stride-N batch VM, the generation-batched
-// JIT session (structure-hash compile cache, one TU per batch), SoA batch
-// rollouts with per-lane watchdog masking, and the `batch_compile` fault
-// site. Labeled `batch`, `prop`, and `fault` in ctest.
+// Batched-evaluation tests: the compiled system program over lane blocks
+// (one equation and whole systems), the generation-batched JIT session
+// (structure-hash compile cache, one TU per batch), SoA batch rollouts with
+// per-lane watchdog masking, and the `batch_compile` fault site. Labeled `batch`, `prop`, and `fault` in ctest.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "check/gen.h"
+#include "check/oracles.h"
 #include "common/fault_injection.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -130,6 +132,26 @@ TEST(BatchVmTest, WidthOneMatchesBytecodeVmBitwise) {
     double got = 0.0;
     batch.RunLanes(bc, &got);
     EXPECT_TRUE(BitwiseEqual(got, scalar.Run(ec))) << "trial " << trial;
+  }
+}
+
+// Property: random 2-5-equation systems (shared subtrees, state-free and
+// leaf roots, 0.0/-0.0 constants) compile into one SystemProgram whose
+// outputs equal the interpreter bitwise on every lane, whose full-width
+// run equals lane-at-a-time runs, and whose day tier refreshes when the
+// drivers change (check::CheckSystemAgrees).
+TEST(SystemProgramTest, RandomSystemsMatchInterpreterAcrossWidthsAndDays) {
+  const check::GenConfig config = check::RiverGenConfig();
+  check::OracleContext ctx;
+  ctx.config = &config;
+  for (std::uint64_t i = 0; i < 400; ++i) {
+    check::ExprCase c;
+    c.seed = check::CaseSeed(2024, i);
+    Rng rng(c.seed);
+    c.tree = check::RandomExpr(config, rng);
+    c.parameters = check::RandomParameters(config, rng);
+    const check::OracleResult verdict = check::CheckSystemAgrees(c, ctx);
+    ASSERT_TRUE(verdict.ok) << verdict.detail;
   }
 }
 
@@ -428,7 +450,7 @@ TEST(BatchFaultTest, CompileFaultFallsBackToVmWithoutPoisoningLanes) {
   EXPECT_EQ(session.stats().tu_compiles, 0u);
   for (std::size_t l = 0; l < lanes.size(); ++l) {
     // The degradation is reported, exact, and per-lane bitwise identical
-    // to the batched VM: healthy lanes are never poisoned.
+    // to the system program: healthy lanes are never poisoned.
     EXPECT_TRUE(faulty.reports[l].jit_fallback) << "lane " << l;
     for (std::size_t t = 0; t < days; ++t) {
       EXPECT_TRUE(

@@ -142,7 +142,7 @@ TEST(EngineConfigTest, BestFitnessMatchesIndependentFullEvaluation) {
   plain.runtime_compilation = true;
   gp::FitnessEvaluator evaluator(&knowledge.grammar, &fitness, plain);
   const double full = evaluator.EvaluateFull(result.best);
-  // Same bytecode-VM backend on both sides, so a small ULP budget replaces
+  // Same kBytecodeVm backend on both sides, so a small ULP budget replaces
   // the old absolute 1e-9 tolerance (which scales badly with fitness
   // magnitude).
   EXPECT_TRUE(WithinUlps(result.best.fitness, full, 16))

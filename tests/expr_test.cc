@@ -177,9 +177,60 @@ TEST_P(CompileEquivalenceTest, VmMatchesInterpreter) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CompileEquivalenceTest,
                          ::testing::Range(0, 40));
 
-TEST(CompileTest, ProgramSizeEqualsNodeCount) {
+TEST(CompileTest, LeavesAreOperandsAndSharedSubtreesCompileOnce) {
+  // (x * 2) + 1: two operators; leaves are operands, not instructions.
   const ExprPtr e = Add(Mul(Variable(0, ""), Constant(2.0)), Constant(1.0));
-  EXPECT_EQ(Compile(*e).size(), e->NodeCount());
+  EXPECT_EQ(Compile(*e).size(), 2u);
+  // (x * 2) + (x * 2) from distinct nodes: the product is computed once.
+  const ExprPtr twice = Add(Mul(Variable(0, ""), Constant(2.0)),
+                            Mul(Variable(0, ""), Constant(2.0)));
+  EXPECT_EQ(Compile(*twice).size(), 2u);
+  // Across the equations of a system as well.
+  const ExprPtr shared = Mul(Variable(0, ""), Constant(2.0));
+  const ExprPtr grown = Exp(shared);
+  const SystemProgram program =
+      CompileSystem({shared.get(), grown.get()}, 1);
+  EXPECT_EQ(program.size(), 2u);
+  EXPECT_EQ(program.num_registers(), 4u);  // x, 2, x * 2, exp(x * 2).
+}
+
+TEST(CompileTest, SignedZeroConstantsStayDistinct) {
+  // StructurallyEqual counts 0.0 == -0.0; the compiler must not.
+  const ExprPtr pos = Mul(Constant(0.0), Variable(0, "x"));
+  const ExprPtr neg = Mul(Constant(-0.0), Variable(0, "x"));
+  const SystemProgram program = CompileSystem({pos.get(), neg.get()}, 1);
+  EXPECT_EQ(program.size(), 2u);
+  const double vars[1] = {3.0};
+  double out[2] = {1.0, 1.0};
+  program.Run({vars, 1, nullptr, 0, 1}, out);
+  EXPECT_FALSE(std::signbit(out[0]));
+  EXPECT_TRUE(std::signbit(out[1]));
+}
+
+TEST(CompileTest, StateFreeSubexpressionsFormTheDayTier) {
+  // State x (slot 0), driver d (slot 1), parameter p: exp(d p) + x (d p).
+  const ExprPtr dp = Mul(Variable(1, "d"), Parameter(0, "p"));
+  const ExprPtr eq = Add(Exp(dp), Mul(Variable(0, "x"), dp));
+  const SystemProgram program = CompileSystem({eq.get()}, 1);
+  EXPECT_EQ(program.day_size(), 2u);    // d p, exp(d p).
+  EXPECT_EQ(program.stage_size(), 2u);  // x (d p), the sum.
+  double vars[2] = {2.0, 3.0};
+  const double params[1] = {0.5};
+  const BatchEvalContext ctx{vars, 2, params, 1, 1};
+  const EvalContext ec{vars, 2, params, 1};
+  double out = 0.0;
+  program.RunDay(ctx);
+  program.RunStage(ctx, &out);
+  EXPECT_EQ(out, EvalExpr(*eq, ec));
+  // A new state needs only the stage tier.
+  vars[0] = 5.0;
+  program.RunStage(ctx, &out);
+  EXPECT_EQ(out, EvalExpr(*eq, ec));
+  // A new driver needs the day tier again.
+  vars[1] = -1.0;
+  program.RunDay(ctx);
+  program.RunStage(ctx, &out);
+  EXPECT_EQ(out, EvalExpr(*eq, ec));
 }
 
 // ------------------------------------------------------------ simplify ----

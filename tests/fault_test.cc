@@ -545,9 +545,9 @@ TEST(EvalStatsFaultTest, MergeAddsOutcomeCounters) {
 
 TEST(JitDegradationTest, Tag3pRunBitIdenticalUnderCompileFaults) {
   // The acceptance scenario: a full (small) TAG3P river run with every JIT
-  // compile failing must silently degrade to the bytecode VM, trip the
-  // circuit breaker exactly once, and produce a search history that is
-  // bit-identical to a VM-backend run.
+  // compile failing must silently degrade to the compiled system program,
+  // trip the circuit breaker exactly once, and produce a search history
+  // that is bit-identical to a kBytecodeVm-backend run.
   core::RiverPriorKnowledge knowledge = core::BuildRiverPriorKnowledge();
   const river::RiverDataset dataset = TinyDataset(40);
 

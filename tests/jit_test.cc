@@ -177,7 +177,7 @@ TEST(JitCircuitBreakerTest, ResetClosesTheBreaker) {
 
 TEST(JitFallbackTest, VmBackendFitnessIsBitIdenticalUnderCompileFaults) {
   // A RiverFitness evaluation that asks for the native JIT but hits compile
-  // failures must produce exactly the fitness of the bytecode-VM backend.
+  // failures must produce exactly the fitness of the kBytecodeVm backend.
   river::RiverDataset dataset;
   dataset.num_days = 20;
   dataset.drivers.assign(river::kNumVariables, {});

@@ -799,6 +799,84 @@ TEST(ChannelConservationTest, BudgetStaysExactAcrossWatchdogAbort) {
   }
 }
 
+// Recorded hashes: "<scheme>/<case>". Each hashes the outlet series, the
+// final cells, every ChannelMassBudget field and the report.
+const PinTable kChannelPins = {
+  {"upwind/clean", 0x67d5ad43ee38c866ull},
+  {"upwind/explosive", 0xa4b5b6f8c8114a82ull},
+  {"upwind/nan-first3", 0xdc3190d13a07a509ull},
+  {"quick/clean", 0x85ac6d184c864e63ull},
+  {"quick/explosive", 0xa4b5b6f8c8114a82ull},
+  {"quick/nan-first3", 0x76f48bdc81b83a43ull},
+};
+
+TEST(GoldenPinTest, SimulateChannelOutletCellsBudgetsAndReport) {
+  const TransportScenario five = SmallScenario(5);
+  const TransportScenario one = SmallScenario(1);
+  SimulationConfig clean_config;
+  clean_config.num_species = 5;
+  // The explosive watchdog case of BudgetStaysExactAcrossWatchdogAbort.
+  SimulationConfig explosive_config;
+  explosive_config.num_species = 1;
+  explosive_config.max_saturated_substeps = 4;
+  struct Case {
+    const char* name;
+    const TransportScenario* scenario;
+    std::vector<e::ExprPtr> equations;
+    SimulationConfig config;
+    const char* fault;
+  };
+  const Case cases[] = {
+      {"clean", &five, TransportProcess(five.constituents), clean_config,
+       ""},
+      {"explosive", &one,
+       {e::Exp(e::Mul(e::Constant(8.0), e::Variable(0, "M_NO3")))},
+       explosive_config, ""},
+      {"nan-first3", &five, TransportProcess(five.constituents),
+       clean_config, "derivative_nan:first:3"},
+  };
+  PinTable actual;
+  for (const AdvectionScheme scheme :
+       {AdvectionScheme::kUpwind, AdvectionScheme::kQuick}) {
+    for (const Case& c : cases) {
+      ChannelConfig channel;
+      channel.scheme = scheme;
+      channel.num_cells = 6;
+      if (c.fault[0] != '\0') {
+        std::string error;
+        ASSERT_TRUE(SetFaultSpec(c.fault, &error)) << error;
+      }
+      const ChannelResult result = SimulateChannel(
+          c.equations, c.scenario->true_parameters, c.scenario->dataset, 0,
+          90, c.scenario->constituents, c.config, channel);
+      ClearFaults();
+      PinHasher hash;
+      for (const auto& series : result.outlet) hash.AddSeries(series);
+      const MassBalanceStore& cells = result.final_state;
+      hash.AddWord(cells.num_species());
+      hash.AddWord(cells.width());
+      for (std::size_t s = 0; s < cells.num_species(); ++s) {
+        for (std::size_t l = 0; l < cells.width(); ++l) {
+          hash.AddDouble(cells.at(s, l));
+        }
+      }
+      for (const ChannelMassBudget& budget : result.budgets) {
+        hash.AddDouble(budget.initial);
+        hash.AddDouble(budget.final_mass);
+        hash.AddDouble(budget.inflow);
+        hash.AddDouble(budget.outflow);
+        hash.AddDouble(budget.reaction);
+        hash.AddDouble(budget.clamp_correction);
+      }
+      hash.AddReport(result.report);
+      actual.emplace_back(
+          std::string(AdvectionSchemeName(scheme)) + "/" + c.name,
+          hash.value());
+    }
+  }
+  ExpectPins(actual, kChannelPins);
+}
+
 TEST(ChannelConservationTest, GeometryValidationIsTyped) {
   const ConstituentSet set = ConstituentSet::Transport(2);
   ChannelConfig channel;
